@@ -11,14 +11,11 @@ from .bounds import (
     lambda_s_two,
     maassen_uffink_bound,
     partovi_bound,
-    second_stage_dominates,
     squared_overlaps,
-    transition_matrix,
 )
 from .entropy import (
     EntropyReport,
     VarianceReport,
-    compressed_observable,
     entropies_sequential,
     entropies_sequential_3,
     entropy_distinct,
@@ -61,7 +58,6 @@ from .states import (
     random_observable,
     random_state,
     sample_sequence,
-    sequential_marginals,
     wigner_joint,
 )
 

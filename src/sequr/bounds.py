@@ -11,13 +11,13 @@ sequential bounds are symmetrized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import Observable, operator_norm
+from .entropy import _entropy, _quadratic_entropy
+from .linalg import Observable, operator_norm, projector_stack
 from .optimize import OptimizerConfig, minimize_in_subspace
-from .states import _clip_probabilities
 
 #: Starts per subspace dimension when a degenerate eigenspace needs a search.
 _SUBSPACE_STARTS = 8
@@ -41,11 +41,6 @@ def squared_overlaps(a: Observable, b: Observable) -> np.ndarray:
     a.require_same_dim(b)
     _require_nondegenerate(a, b)
     return np.abs(a.eigenbasis().conj().T @ b.eigenbasis()) ** 2
-
-
-def transition_matrix(b: Observable, c: Observable) -> np.ndarray:
-    """Doubly stochastic transition matrix U_jk = |<b_j|c_k>|^2."""
-    return squared_overlaps(b, c)
 
 
 def deutsch_bound(a: Observable, b: Observable, base: float = math.e) -> float:
@@ -83,14 +78,6 @@ def is_complementary(a: Observable, b: Observable, tol: float = 1e-9) -> bool:
     return bool(np.abs(u - 1.0 / a.dim).max() <= tol)
 
 
-def _projector_expectation_entropy(state: np.ndarray, obs: Observable, ln_base: float) -> float:
-    p = _clip_probabilities(
-        np.einsum("kij,i,j->k", np.stack(obs.projectors), state.conj(), state).real
-    )
-    p = p[p > 1e-15]
-    return float(-(p * np.log(p)).sum() / ln_base)
-
-
 def lambda_s_two(
     a: Observable, b: Observable, base: float = math.e,
     config: OptimizerConfig | None = None,
@@ -105,23 +92,16 @@ def lambda_s_two(
     """
     a.require_same_dim(b)
     ln_base = math.log(base)
+    stack = projector_stack(b)
     candidates = []
     for basis in a.eigenvectors:
         if basis.shape[1] == 1:
-            candidates.append(
-                _projector_expectation_entropy(basis[:, 0], b, ln_base)
-            )
+            candidates.append(_quadratic_entropy(stack, basis[:, 0], ln_base))
         else:
-            cfg = config or OptimizerConfig(seed=0)
-            cfg = OptimizerConfig(
-                starts=_SUBSPACE_STARTS * basis.shape[1],
-                max_iterations=cfg.max_iterations,
-                value_tolerance=cfg.value_tolerance,
-                step_tolerance=cfg.step_tolerance,
-                seed=cfg.seed,
-            )
+            cfg = replace(config or OptimizerConfig(seed=0),
+                          starts=_SUBSPACE_STARTS * basis.shape[1])
             res = minimize_in_subspace(
-                lambda psi: _projector_expectation_entropy(psi, b, ln_base),
+                lambda psi: _quadratic_entropy(stack, psi, ln_base),
                 [basis[:, k] for k in range(basis.shape[1])],
                 cfg,
             )
@@ -164,18 +144,10 @@ def lambda_s_three(
     ln_base = math.log(base)
 
     u = squared_overlaps(a, b)
-    v = transition_matrix(b, c)
+    v = squared_overlaps(b, c)
     w = u @ v  # row i: distribution of the third outcome from eigenstate i
-
-    def entropy_rows(rows):
-        out = np.empty(rows.shape[0])
-        for i, row in enumerate(rows):
-            r = row[row > 1e-15]
-            out[i] = -(r * np.log(r)).sum() / ln_base
-        return out
-
-    first = entropy_rows(u)
-    second = entropy_rows(w)
+    first = np.array([_entropy(row, ln_base) for row in u])
+    second = np.array([_entropy(row, ln_base) for row in w])
     return TripleBound(
         stagewise=float(first.min() + second.min()),
         common_state=float((first + second).min()),
@@ -183,18 +155,6 @@ def lambda_s_three(
         transition=v,
         log_base=base,
     )
-
-
-def second_stage_dominates(a: Observable, b: Observable, c: Observable,
-                           slack: float = 1e-9) -> bool:
-    """Check that the third-stage entropy bound is at least the second-stage one.
-
-    Because the overlap transition between the later eigenbases is doubly
-    stochastic, appending a measurement cannot lower the optimal entropy
-    bound of the final outcome.
-    """
-    triple = lambda_s_three(a, b, c)
-    return triple.second_stage >= lambda_s_two(a, b) - slack
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ probabilities). Exit codes: 0 success, 1 verification mismatch, 2 bad input,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -19,7 +20,7 @@ import time
 import numpy as np
 
 from .bounds import bound_report, lambda_s_three
-from .entropy import shannon_entropy
+from .entropy import _entropy, shannon_entropy
 from .errors import DimensionMismatch, OptimizerFailure, ScenarioError
 from .optimize import OptimizerConfig, lambda_d_numeric, lambda_s3_numeric, lambda_s_numeric
 from .qubit import curve_point, table1
@@ -31,6 +32,14 @@ EXIT_MISMATCH = 1
 EXIT_BAD_INPUT = 2
 EXIT_DIMENSION = 3
 EXIT_OPTIMIZER = 4
+
+#: Exit code of each error type ``main`` reports, most specific first:
+#: ``DimensionMismatch`` and ``ScenarioError`` are both ``ValueError``.
+_EXIT_CODES = (
+    (DimensionMismatch, EXIT_DIMENSION),
+    (OptimizerFailure, EXIT_OPTIMIZER),
+    (ValueError, EXIT_BAD_INPUT),
+)
 
 #: Published 3-decimal reference values for the 10-degree qubit bound grid:
 #: (theta_deg, lambda_s, lambda_d, lambda_d2, lambda_d1), natural log.
@@ -63,9 +72,31 @@ def _parse_log_base(text: str) -> float:
         base = float(text)
     except ValueError:
         raise ScenarioError(f"invalid log base {text!r}") from None
-    if base <= 1.0:
-        raise ScenarioError("log base must be > 1")
+    if not 1.0 < base < math.inf:
+        raise ScenarioError("log base must be a finite number > 1")
     return base
+
+
+def _emit(args, payload: dict, csv_rows, table_lines, **header) -> None:
+    """Print one command's result in the format ``args.format`` names.
+
+    ``payload`` is the JSON document. ``csv_rows`` (column names first, then
+    one tuple of cell strings per row) and ``table_lines`` are only iterated
+    in their own format, so they may be generators. Table output opens with
+    a ``# <command>  key=value ...`` line built from ``header``, unless
+    ``--quiet`` is given.
+    """
+    if args.format == "json":
+        print(json.dumps(payload, indent=2))
+    elif args.format == "csv":
+        for row in csv_rows:
+            print(",".join(row))
+    else:
+        if not args.quiet:
+            print(f"# {payload['command']}  "
+                  + "  ".join(f"{key}={value}" for key, value in header.items()))
+        for line in table_lines:
+            print(line)
 
 
 def _common_flags(parser: argparse.ArgumentParser, seed_default: int) -> None:
@@ -125,11 +156,9 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_bounds(args) -> int:
     base = _parse_log_base(args.log_base)
     if len(args.order) not in (2, 3):
-        print("error: --order needs exactly 2 or 3 observable names", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ScenarioError("--order needs exactly 2 or 3 observable names")
     if args.starts < 1:
-        print("error: --starts must be >= 1", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ScenarioError("--starts must be >= 1")
     scenario = load_scenario(args.file)
     observables = scenario.pick(args.order)
     config = OptimizerConfig(starts=args.starts, seed=args.seed)
@@ -196,140 +225,106 @@ def cmd_bounds(args) -> int:
         "checks": checks,
         "timing_s": round(elapsed, 3),
     }
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    elif args.format == "csv":
-        print("bound,value")
-        for name, value in values.items():
-            print(f"{name},{'' if value is None else _fmt(value)}")
-    else:
-        if not args.quiet:
-            print(f"# bounds  file={args.file}  order={','.join(args.order)}  "
-                  f"dim={scenario.dim}  log_base={args.log_base}  "
-                  f"seed={args.seed}  starts={args.starts}")
-        width = max(len(k) for k in values)
-        for name, value in values.items():
-            shown = "n/a (degenerate spectrum)" if value is None else _fmt(value)
-            print(f"{name:<{width}}  {shown}")
-        for name, verdict in checks.items():
-            print(f"check: {name}: {'ok' if verdict else 'VIOLATED'}")
-        if not args.quiet:
-            print(f"timing_s {elapsed:.3f}")
+    width = max(len(k) for k in values)
+    table = [f"{name:<{width}}  "
+             + ("n/a (degenerate spectrum)" if value is None else _fmt(value))
+             for name, value in values.items()]
+    table += [f"check: {name}: {'ok' if verdict else 'VIOLATED'}"
+              for name, verdict in checks.items()]
+    if not args.quiet:
+        table.append(f"timing_s {elapsed:.3f}")
+    csv_rows = [("bound", "value")]
+    csv_rows += [(name, "" if value is None else _fmt(value)) for name, value in values.items()]
+    _emit(args, payload, csv_rows, table, file=args.file, order=",".join(args.order),
+          dim=scenario.dim, log_base=args.log_base, seed=args.seed, starts=args.starts)
     return EXIT_OK if all(checks.values()) else EXIT_MISMATCH
+
+
+#: The bound columns of ``table1`` and ``sweep``, as ``ThetaCurvePoint`` fields.
+_CURVE_FIELDS = ("lambda_s", "lambda_d", "lambda_d2", "lambda_d1")
+_CURVE_HEADER = " ".join(f"{name:>9}" for name in ("theta_deg",) + _CURVE_FIELDS)
+
+
+def _curve_cells(point) -> str:
+    return " ".join(f"{getattr(point, name):>9.6f}" for name in _CURVE_FIELDS)
+
+
+def _curve_json(point) -> dict:
+    return {name: _json_num(getattr(point, name)) for name in _CURVE_FIELDS}
+
+
+def _curve_csv(point) -> tuple:
+    return tuple(_fmt(getattr(point, name)) for name in _CURVE_FIELDS)
 
 
 def cmd_table1(args) -> int:
     base = _parse_log_base(args.log_base)
     if abs(base - math.e) > 1e-12:
-        print("error: the reference table is defined for natural log only",
-              file=sys.stderr)
-        return EXIT_BAD_INPUT
-    if args.tolerance <= 0:
-        print("error: --tolerance must be positive", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ScenarioError("the reference table is defined for natural log only")
+    if not 0.0 < args.tolerance < math.inf:
+        raise ScenarioError("--tolerance must be positive and finite")
     config = OptimizerConfig(starts=32, seed=args.seed)
     rows = table1(config)
 
     mismatches = []
     for point, ref in zip(rows, REFERENCE_TABLE):
-        computed = (point.lambda_s, point.lambda_d, point.lambda_d2, point.lambda_d1)
         tol = args.tolerance + (1e-3 if point.regime == "middle-numeric" else 0.0)
-        for name, got, want in zip(
-            ("lambda_s", "lambda_d", "lambda_d2", "lambda_d1"), computed, ref[1:]
-        ):
+        for name, want in zip(_CURVE_FIELDS, ref[1:]):
+            got = getattr(point, name)
             if abs(got - want) > tol:
                 mismatches.append((ref[0], name, got, want, tol))
 
-    header = ("theta_deg", "lambda_s", "lambda_d", "lambda_d2", "lambda_d1")
-    if args.format == "json":
-        payload = {
-            "command": "table1",
-            "log_base": "e",
-            "seed": args.seed,
-            "rows": [
-                {
-                    "theta_deg": round(p.theta_deg),
-                    "lambda_s": _json_num(p.lambda_s),
-                    "lambda_d": _json_num(p.lambda_d),
-                    "lambda_d2": _json_num(p.lambda_d2),
-                    "lambda_d1": _json_num(p.lambda_d1),
-                    "regime": p.regime,
-                }
-                for p in rows
-            ],
-            "mismatches": [
-                {"theta_deg": t, "bound": n, "computed": _json_num(g),
-                 "reference": w, "tolerance": tol}
-                for t, n, g, w, tol in mismatches
-            ],
-        }
-        print(json.dumps(payload, indent=2))
-    elif args.format == "csv":
-        print(",".join(header))
-        for p in rows:
-            print(f"{round(p.theta_deg)},{_fmt(p.lambda_s)},{_fmt(p.lambda_d)},"
-                  f"{_fmt(p.lambda_d2)},{_fmt(p.lambda_d1)}")
-    else:
-        if not args.quiet:
-            print(f"# table1  log_base=e  seed={args.seed}  tolerance={args.tolerance:g}")
-        print(f"{'theta_deg':>9} {'lambda_s':>9} {'lambda_d':>9} "
-              f"{'lambda_d2':>9} {'lambda_d1':>9}  regime")
-        for p in rows:
-            print(f"{round(p.theta_deg):>9} {p.lambda_s:>9.6f} {p.lambda_d:>9.6f} "
-                  f"{p.lambda_d2:>9.6f} {p.lambda_d1:>9.6f}  {p.regime}")
-        for t, n, g, w, tol in mismatches:
-            print(f"mismatch: theta={t} {n} computed={_fmt(g)} reference={w} "
-                  f"tolerance={tol:g}")
+    payload = {
+        "command": "table1",
+        "log_base": "e",
+        "seed": args.seed,
+        "rows": [{"theta_deg": round(p.theta_deg), **_curve_json(p), "regime": p.regime}
+                 for p in rows],
+        "mismatches": [
+            {"theta_deg": t, "bound": n, "computed": _json_num(g),
+             "reference": w, "tolerance": tol}
+            for t, n, g, w, tol in mismatches
+        ],
+    }
+    csv_rows = [("theta_deg",) + _CURVE_FIELDS]
+    csv_rows += [(str(round(p.theta_deg)),) + _curve_csv(p) for p in rows]
+    table = [_CURVE_HEADER + "  regime"]
+    table += [f"{round(p.theta_deg):>9} {_curve_cells(p)}  {p.regime}" for p in rows]
+    table += [f"mismatch: theta={t} {n} computed={_fmt(g)} reference={w} tolerance={tol:g}"
+              for t, n, g, w, tol in mismatches]
+    _emit(args, payload, csv_rows, table,
+          log_base="e", seed=args.seed, tolerance=f"{args.tolerance:g}")
     return EXIT_MISMATCH if mismatches else EXIT_OK
 
 
 def cmd_sweep(args) -> int:
     base = _parse_log_base(args.log_base)
-    if args.steps < 1 or args.theta_min > args.theta_max \
-            or args.theta_min < 0 or args.theta_max > 180:
-        print("error: need 0 <= theta-min <= theta-max <= 180 and steps >= 1",
-              file=sys.stderr)
-        return EXIT_BAD_INPUT
+    if args.steps < 1 or not 0 <= args.theta_min <= args.theta_max <= 180:
+        raise ScenarioError("need 0 <= theta-min <= theta-max <= 180 and steps >= 1")
     config = OptimizerConfig(starts=32, seed=args.seed)
     grid = np.linspace(args.theta_min, args.theta_max, args.steps)
     points = [curve_point(math.radians(d), config, base) for d in grid]
+    chain_ok = [p.chain_holds() for p in points]
 
-    if args.format == "json":
-        payload = {
-            "command": "sweep",
-            "log_base": args.log_base,
-            "seed": args.seed,
-            "rows": [
-                {
-                    "theta_deg": _json_num(p.theta_deg),
-                    "lambda_s": _json_num(p.lambda_s),
-                    "lambda_d": _json_num(p.lambda_d),
-                    "lambda_d2": _json_num(p.lambda_d2),
-                    "lambda_d1": _json_num(p.lambda_d1),
-                    "regime": p.regime,
-                    "chain_ok": p.chain_holds(),
-                }
-                for p in points
-            ],
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        if args.format == "table" and not args.quiet:
-            print(f"# sweep  theta={args.theta_min:g}..{args.theta_max:g} "
-                  f"steps={args.steps}  log_base={args.log_base}  seed={args.seed}")
-        print("theta_deg,lambda_s,lambda_d,lambda_d2,lambda_d1,regime,chain_ok"
-              if args.format == "csv" else
-              f"{'theta_deg':>9} {'lambda_s':>9} {'lambda_d':>9} {'lambda_d2':>9} "
-              f"{'lambda_d1':>9}  {'regime':<14} chain_ok")
-        for p in points:
-            if args.format == "csv":
-                print(f"{_fmt(p.theta_deg)},{_fmt(p.lambda_s)},{_fmt(p.lambda_d)},"
-                      f"{_fmt(p.lambda_d2)},{_fmt(p.lambda_d1)},{p.regime},"
-                      f"{str(p.chain_holds()).lower()}")
-            else:
-                print(f"{p.theta_deg:>9.4g} {p.lambda_s:>9.6f} {p.lambda_d:>9.6f} "
-                      f"{p.lambda_d2:>9.6f} {p.lambda_d1:>9.6f}  {p.regime:<14} "
-                      f"{str(p.chain_holds()).lower()}")
+    payload = {
+        "command": "sweep",
+        "log_base": args.log_base,
+        "seed": args.seed,
+        "rows": [
+            {"theta_deg": _json_num(p.theta_deg), **_curve_json(p),
+             "regime": p.regime, "chain_ok": ok}
+            for p, ok in zip(points, chain_ok)
+        ],
+    }
+    csv_rows = [("theta_deg",) + _CURVE_FIELDS + ("regime", "chain_ok")]
+    csv_rows += [(_fmt(p.theta_deg),) + _curve_csv(p) + (p.regime, str(ok).lower())
+                 for p, ok in zip(points, chain_ok)]
+    table = [f"{_CURVE_HEADER}  {'regime':<14} chain_ok"]
+    table += [f"{p.theta_deg:>9.4g} {_curve_cells(p)}  {p.regime:<14} {str(ok).lower()}"
+              for p, ok in zip(points, chain_ok)]
+    _emit(args, payload, csv_rows, table,
+          theta=f"{args.theta_min:g}..{args.theta_max:g} steps={args.steps}",
+          log_base=args.log_base, seed=args.seed)
     return EXIT_OK
 
 
@@ -353,48 +348,42 @@ def cmd_verify(args) -> int:
     from .verify import run_all
 
     if args.instances < 1:
-        print("error: --instances must be >= 1", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ScenarioError("--instances must be >= 1")
     dims = _parse_dims(args.dims)
     results = run_all(args.seed, args.instances, dims)
+    all_ok = all(r.ok for r in results)
 
-    if args.format == "json":
-        payload = {
-            "command": "verify",
-            "seed": args.seed,
-            "instances": args.instances,
-            "dims": args.dims,
-            "properties": [
-                {"name": r.name, "ok": r.ok, "checked": r.checked,
-                 "margin": f"{r.worst:.3e}", "detail": r.detail}
-                for r in results
-            ],
-            "all_ok": all(r.ok for r in results),
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        if not args.quiet:
-            print(f"# verify  seed={args.seed}  instances={args.instances}  "
-                  f"dims={args.dims}")
-        for r in results:
-            mark = "ok  " if r.ok else "FAIL"
-            print(f"{mark} {r.name:<32} checked={r.checked:<5} margin={r.worst:.3e}")
-            if not r.ok:
-                for line in r.detail.splitlines():
-                    print(f"     {line}")
-        passed = sum(r.ok for r in results)
-        print(f"{passed}/{len(results)} properties passed")
-    return EXIT_OK if all(r.ok for r in results) else EXIT_MISMATCH
+    payload = {
+        "command": "verify",
+        "seed": args.seed,
+        "instances": args.instances,
+        "dims": args.dims,
+        "properties": [
+            {"name": r.name, "ok": r.ok, "checked": r.checked,
+             "margin": f"{r.worst:.3e}", "detail": r.detail}
+            for r in results
+        ],
+        "all_ok": all_ok,
+    }
+    csv_rows = [("name", "ok", "checked", "margin")]
+    csv_rows += [(r.name, str(r.ok).lower(), str(r.checked), f"{r.worst:.3e}")
+                 for r in results]
+    table = []
+    for r in results:
+        mark = "ok  " if r.ok else "FAIL"
+        table.append(f"{mark} {r.name:<32} checked={r.checked:<5} margin={r.worst:.3e}")
+        if not r.ok:
+            table += [f"     {line}" for line in r.detail.splitlines()]
+    table.append(f"{sum(r.ok for r in results)}/{len(results)} properties passed")
+    _emit(args, payload, csv_rows, table,
+          seed=args.seed, instances=args.instances, dims=args.dims)
+    return EXIT_OK if all_ok else EXIT_MISMATCH
 
 
 def cmd_simulate(args) -> int:
     base = _parse_log_base(args.log_base)
     if args.samples < 1:
-        print("error: --samples must be >= 1", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    if not args.order:
-        print("error: --order needs at least one observable name", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ScenarioError("--samples must be >= 1")
     scenario = load_scenario(args.file)
     chain = scenario.pick(args.order)
     rho = scenario.state_or_mixed()
@@ -408,89 +397,83 @@ def cmd_simulate(args) -> int:
     for axis, name in enumerate(args.order):
         analytic_p = joint.marginal(axis)
         empirical_p = freqs.sum(axis=tuple(k for k in range(freqs.ndim) if k != axis))
-        s_analytic = shannon_entropy(analytic_p, base)
+        s_nats = _entropy(empirical_p, 1.0)
         nz = empirical_p[empirical_p > 0]
-        s_emp = float(-(nz * np.log(nz)).sum() / ln_base)
-        var_nats = float((nz * np.log(nz) ** 2).sum() - ((nz * np.log(nz)).sum()) ** 2)
+        var_nats = float((nz * np.log(nz) ** 2).sum() - s_nats**2)
         stderr = math.sqrt(max(var_nats, 0.0) / args.samples) / ln_base
-        entropies.append((name, analytic_p, empirical_p, s_analytic, s_emp, stderr))
+        entropies.append((name, analytic_p, empirical_p, shannon_entropy(analytic_p, base),
+                          s_nats / ln_base, stderr))
 
     gap = None
     if len(chain) >= 2:
         direct = outcome_probabilities(rho, chain[-1])
-        analytic_gap = float(np.abs(joint.marginal(len(chain) - 1) - direct).max())
-        last_emp = entropies[-1][2]
-        empirical_gap = float(np.abs(last_emp - direct).max())
-        gap = (analytic_gap, empirical_gap)
+        gap = [float(np.abs(p - direct).max()) for p in entropies[-1][1:3]]
 
-    if args.format == "json":
-        payload = {
-            "command": "simulate",
-            "file": args.file,
-            "order": args.order,
-            "dim": scenario.dim,
-            "samples": args.samples,
-            "seed": args.seed,
-            "log_base": args.log_base,
-            "joint": {
-                "axes": [[_json_num(v) for v in ax] for ax in joint.axes],
-                "analytic": np.round(joint.table, 9).tolist(),
-                "empirical": np.round(freqs, 9).tolist(),
-            },
-            "marginals": [
-                {
-                    "observable": name,
-                    "analytic": [_json_num(v) for v in pa],
-                    "empirical": [_json_num(v) for v in pe],
-                    "entropy_analytic": _json_num(sa),
-                    "entropy_empirical": _json_num(se),
-                    "entropy_stderr": _json_num(err),
-                }
-                for name, pa, pe, sa, se, err in entropies
-            ],
-        }
-        if gap is not None:
-            payload["interference_gap"] = {
-                "analytic": _json_num(gap[0]), "empirical": _json_num(gap[1]),
+    payload = {
+        "command": "simulate",
+        "file": args.file,
+        "order": args.order,
+        "dim": scenario.dim,
+        "samples": args.samples,
+        "seed": args.seed,
+        "log_base": args.log_base,
+        "joint": {
+            "axes": [[_json_num(v) for v in ax] for ax in joint.axes],
+            "analytic": np.round(joint.table, 9).tolist(),
+            "empirical": np.round(freqs, 9).tolist(),
+        },
+        "marginals": [
+            {
+                "observable": name,
+                "analytic": [_json_num(v) for v in pa],
+                "empirical": [_json_num(v) for v in pe],
+                "entropy_analytic": _json_num(sa),
+                "entropy_empirical": _json_num(se),
+                "entropy_stderr": _json_num(err),
             }
-        print(json.dumps(payload, indent=2))
-    else:
-        if not args.quiet:
-            print(f"# simulate  file={args.file}  order={','.join(args.order)}  "
-                  f"dim={scenario.dim}  samples={args.samples}  seed={args.seed}  "
-                  f"log_base={args.log_base}")
-        print(f"{'outcome':<24} {'analytic':>10} {'empirical':>10} {'|diff|':>10}")
+            for name, pa, pe, sa, se, err in entropies
+        ],
+    }
+    if gap is not None:
+        payload["interference_gap"] = {
+            "analytic": _json_num(gap[0]), "empirical": _json_num(gap[1]),
+        }
+
+    labels = [[_fmt(v) for v in ax] for ax in joint.axes]
+
+    def outcome(idx) -> tuple:
+        return tuple(labels[k][i] for k, i in enumerate(idx))
+
+    def table():
+        yield f"{'outcome':<24} {'analytic':>10} {'empirical':>10} {'|diff|':>10}"
         for idx in np.ndindex(joint.table.shape):
-            label = "(" + ",".join(_fmt(joint.axes[k][i]) for k, i in enumerate(idx)) + ")"
+            label = "(" + ",".join(outcome(idx)) + ")"
             p, f = joint.table[idx], freqs[idx]
-            print(f"{label:<24} {p:>10.6f} {f:>10.6f} {abs(p - f):>10.6f}")
+            yield f"{label:<24} {p:>10.6f} {f:>10.6f} {abs(p - f):>10.6f}"
         for name, pa, pe, sa, se, err in entropies:
-            print(f"marginal {name}: analytic [{' '.join(_fmt(v) for v in pa)}] "
-                  f"empirical [{' '.join(_fmt(v) for v in pe)}]")
-            print(f"entropy {name}: analytic {_fmt(sa)} empirical {_fmt(se)} "
-                  f"stderr {_fmt(err)}")
+            yield (f"marginal {name}: analytic [{' '.join(_fmt(v) for v in pa)}] "
+                   f"empirical [{' '.join(_fmt(v) for v in pe)}]")
+            yield f"entropy {name}: analytic {_fmt(sa)} empirical {_fmt(se)} stderr {_fmt(err)}"
         if gap is not None:
-            print(f"interference_gap: analytic {_fmt(gap[0])} empirical {_fmt(gap[1])}")
+            yield f"interference_gap: analytic {_fmt(gap[0])} empirical {_fmt(gap[1])}"
+
+    csv_rows = itertools.chain(
+        [(*args.order, "analytic", "empirical")],
+        (outcome(idx) + (_fmt(joint.table[idx]), _fmt(freqs[idx]))
+         for idx in np.ndindex(joint.table.shape)),
+    )
+    _emit(args, payload, csv_rows, table(), file=args.file, order=",".join(args.order),
+          dim=scenario.dim, samples=args.samples, seed=args.seed, log_base=args.log_base)
     return EXIT_OK
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as exc:
+    except (ValueError, OptimizerFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except DimensionMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIMENSION
-    except OptimizerFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OPTIMIZER
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 def entrypoint() -> None:

@@ -2,7 +2,8 @@
 
 Entropies default to natural log; every public function takes a ``base``
 argument (use 2 for bits). The ``0 log 0 = 0`` convention is implemented by
-dropping weights below 1e-15, which is the same thing at machine precision.
+dropping weights at or below ``WEIGHT_FLOOR``, which is the same thing at
+machine precision. Every entropy in the package goes through ``_entropy``.
 """
 
 from __future__ import annotations
@@ -13,12 +14,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import Observable
-from .states import outcome_probabilities, wigner_joint, _clip_probabilities
+from .states import _clip_probabilities, luders_map, outcome_probabilities, wigner_joint
 
 #: Weights below this contribute nothing to an entropy sum.
 WEIGHT_FLOOR = 1e-15
 
 DISTRIBUTION_TOL = 1e-9
+
+
+def _entropy(p: np.ndarray, ln_base: float) -> float:
+    """Entropy -sum p_i log p_i of nonnegative weights, divided by ``ln_base = log(base)``.
+
+    Kept private so that tracing public functions adds nothing to the
+    optimizer objectives, which call it on every evaluation. The ``+ 0.0``
+    turns the ``-0.0`` of a single certain outcome into ``0.0``.
+    """
+    p = p[p > WEIGHT_FLOOR]
+    return float(-(p * np.log(p)).sum() / ln_base) + 0.0
+
+
+def _quadratic_entropy(stack: np.ndarray, state: np.ndarray, ln_base: float) -> float:
+    """Entropy of the distribution <psi|M_k|psi> for a stack of operators M_k."""
+    return _entropy(
+        _clip_probabilities(np.einsum("kij,i,j->k", stack, state.conj(), state).real),
+        ln_base,
+    )
 
 
 def shannon_entropy(weights, base: float = math.e) -> float:
@@ -35,8 +55,7 @@ def shannon_entropy(weights, base: float = math.e) -> float:
         raise ValueError("weights must lie in [0, 1]")
     if abs(p.sum() - 1.0) > DISTRIBUTION_TOL:
         raise ValueError(f"weights sum to {p.sum()!r}, not 1")
-    p = p[p > WEIGHT_FLOOR]
-    return float(-(p * np.log(p)).sum() / math.log(base)) + 0.0
+    return _entropy(p, math.log(base))
 
 
 def entropy_distinct(rho: np.ndarray, obs: Observable, base: float = math.e) -> float:
@@ -67,29 +86,20 @@ def entropies_sequential(
     the second is the distinct-measurement entropy of ``b`` in the collapsed
     state. The joint entropy obeys sub-additivity and dominates both marginals.
     """
-    joint = wigner_joint(rho, a, b)
-    pa, pb = joint.marginals()
-    return EntropyReport(
-        s_a=shannon_entropy(pa, base),
-        s_b=shannon_entropy(pb, base),
-        s_joint=shannon_entropy(joint.table, base),
-        log_base=base,
-    )
+    return _sequential_report(wigner_joint(rho, a, b), base)
 
 
 def entropies_sequential_3(
     rho: np.ndarray, a: Observable, b: Observable, c: Observable, base: float = math.e
 ) -> EntropyReport:
     """Entropies for the three-step sequence ``a``, ``b``, ``c``."""
-    joint = wigner_joint(rho, a, b, c)
-    pa, pb, pc = joint.marginals()
-    return EntropyReport(
-        s_a=shannon_entropy(pa, base),
-        s_b=shannon_entropy(pb, base),
-        s_c=shannon_entropy(pc, base),
-        s_joint=shannon_entropy(joint.table, base),
-        log_base=base,
-    )
+    return _sequential_report(wigner_joint(rho, a, b, c), base)
+
+
+def _sequential_report(joint, base: float) -> EntropyReport:
+    s_a, s_b, *s_c = (shannon_entropy(p, base) for p in joint.marginals())
+    return EntropyReport(s_a=s_a, s_b=s_b, s_c=s_c[0] if s_c else None,
+                         s_joint=shannon_entropy(joint.table, base), log_base=base)
 
 
 @dataclass(frozen=True)
@@ -100,8 +110,9 @@ class VarianceReport:
     commutator lower bound ``robertson_rhs``. The ``_seq`` variances come from
     the sequential joint distribution; their product is bounded below by the
     squared covariance ``successive_rhs`` of that distribution, which equals
-    ``|Tr[rho A C] - Tr[rho A] Tr[rho C]|^2`` for the compressed second
-    observable ``C = sum_i P_A(a_i) B P_A(a_i)`` stored in ``c_of_b``.
+    ``|Tr[rho A C] - Tr[rho A] Tr[rho C]|^2`` for the second observable
+    pinched by the first, ``C = sum_i P_A(a_i) B P_A(a_i)`` (``luders_map``
+    applied to ``B``), stored in ``c_of_b``.
     """
 
     var_a: float
@@ -111,15 +122,6 @@ class VarianceReport:
     var_b_seq: float
     successive_rhs: float
     c_of_b: np.ndarray
-
-
-def compressed_observable(a: Observable, b: Observable) -> np.ndarray:
-    """The second observable averaged over the first's eigenspaces; commutes with ``a``."""
-    a.require_same_dim(b)
-    out = np.zeros_like(b.matrix)
-    for p in a.projectors:
-        out += p @ b.matrix @ p
-    return out
 
 
 def variance_relations(rho: np.ndarray, a: Observable, b: Observable) -> VarianceReport:
@@ -142,7 +144,7 @@ def variance_relations(rho: np.ndarray, a: Observable, b: Observable) -> Varianc
     eb = float(pb @ joint.axes[1])
     var_a_seq = float(pa @ joint.axes[0] ** 2) - ea**2
     var_b_seq = float(pb @ joint.axes[1] ** 2) - eb**2
-    c_of_b = compressed_observable(a, b)
+    c_of_b = luders_map(b.matrix, a)
     successive = abs(expect(a.matrix @ c_of_b) - expect(a.matrix) * expect(c_of_b)) ** 2
 
     return VarianceReport(

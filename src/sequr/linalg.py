@@ -104,6 +104,11 @@ class Observable:
             )
 
 
+def _check_dim(dim: int) -> None:
+    if not (MIN_DIM <= dim <= MAX_DIM):
+        raise ValueError(f"dimension {dim} outside supported range {MIN_DIM}..{MAX_DIM}")
+
+
 def spectral_resolution(matrix: np.ndarray, cluster_tol: float | None = None) -> Observable:
     """Build the spectral resolution of a Hermitian matrix.
 
@@ -114,8 +119,7 @@ def spectral_resolution(matrix: np.ndarray, cluster_tol: float | None = None) ->
     """
     m = as_complex_matrix(matrix)
     dim = m.shape[0]
-    if not (MIN_DIM <= dim <= MAX_DIM):
-        raise ValueError(f"dimension {dim} outside supported range {MIN_DIM}..{MAX_DIM}")
+    _check_dim(dim)
     values, vectors = eigh(m)
     if cluster_tol is None:
         cluster_tol = default_cluster_tol(values)

@@ -12,14 +12,14 @@ results are deterministic and independent of scheduling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 
+from .entropy import _quadratic_entropy
 from .errors import OptimizerFailure
 from .linalg import Observable, projector_stack
-from .states import _clip_probabilities
 
 _NORM_FLOOR = 1e-12
 _PENALTY = 1e30
@@ -138,23 +138,7 @@ def minimize_in_subspace(objective, basis, config: OptimizerConfig) -> Optimizer
                                per_start_values=(value,))
 
     result = minimize_over_pure_states(lambda c: objective(basis @ c), k, config)
-    return OptimizerResult(
-        value=result.value,
-        minimizer=basis @ result.minimizer,
-        starts_converged=result.starts_converged,
-        per_start_values=result.per_start_values,
-    )
-
-
-def _entropy_of_quadratic(stack: np.ndarray, state: np.ndarray, ln_base: float) -> float:
-    """Entropy of the distribution <psi|M_k|psi> for a stack of operators M_k."""
-    p = _clip_probabilities(np.einsum("kij,i,j->k", stack, state.conj(), state).real)
-    p = p[p > 1e-15]
-    return float(-(p * np.log(p)).sum() / ln_base)
-
-
-def _distinct_stacks(observables) -> list:
-    return [projector_stack(o) for o in observables]
+    return replace(result, minimizer=basis @ result.minimizer)
 
 
 def _sequential_stacks(chain) -> list:
@@ -181,7 +165,7 @@ def _lambda_result(stacks, dim, config, base) -> OptimizerResult:
     merged = np.concatenate(stacks, axis=0)
 
     def objective(state):
-        return _entropy_of_quadratic(merged, state, ln_base)
+        return _quadratic_entropy(merged, state, ln_base)
 
     return minimize_over_pure_states(objective, dim, config)
 
@@ -193,7 +177,7 @@ def lambda_d_numeric(
     """Optimal distinct-measurement bound: infimum of S(A) + S(B) over states."""
     a.require_same_dim(b)
     config = config or OptimizerConfig()
-    return _lambda_result(_distinct_stacks([a, b]), a.dim, config, base)
+    return _lambda_result([projector_stack(a), projector_stack(b)], a.dim, config, base)
 
 
 def lambda_s_numeric(

@@ -16,6 +16,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import brentq
 
+from .entropy import _entropy
 from .linalg import Observable, spectral_resolution
 from .optimize import OptimizerConfig, lambda_d_numeric
 
@@ -36,17 +37,10 @@ def spin_observable(n) -> Observable:
     return spectral_resolution(n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z)
 
 
-def _binary_entropy(p: float, ln_base: float) -> float:
-    total = 0.0
-    for w in (p, 1.0 - p):
-        if w > 1e-15:
-            total -= w * math.log(w)
-    return total / ln_base
-
-
 def lambda_s_theta(theta: float, base: float = math.e) -> float:
     """Optimal sequential bound: binary entropy of cos^2(theta/2). Symmetric about pi/2."""
-    return _binary_entropy(math.cos(theta / 2.0) ** 2, math.log(base))
+    p = math.cos(theta / 2.0) ** 2
+    return _entropy(np.array([p, 1.0 - p]), math.log(base))
 
 
 def deutsch_theta(theta: float, base: float = math.e) -> float:
@@ -99,13 +93,12 @@ def sanchez_ruiz_theta(
     """
     if not 0.0 <= theta <= math.pi + 1e-12:
         raise ValueError("theta must lie in [0, pi]")
-    ln_base = math.log(base)
     boundary = theta_star()
     if theta <= boundary:
-        return 2.0 * _binary_entropy(math.cos(theta / 4.0) ** 2, ln_base), "low"
+        return 2.0 * lambda_s_theta(theta / 2.0, base), "low"
     if theta >= math.pi - boundary:
-        lo = _binary_entropy(math.cos(math.pi / 4.0 + theta / 4.0) ** 2, ln_base)
-        hi = _binary_entropy(math.cos(math.pi / 4.0 - theta / 4.0) ** 2, ln_base)
+        lo = lambda_s_theta(math.pi / 2.0 + theta / 2.0, base)
+        hi = lambda_s_theta(math.pi / 2.0 - theta / 2.0, base)
         return lo + hi, "high"
     config = config or OptimizerConfig(starts=_MIDDLE_STARTS, seed=0)
     return _middle_value(theta, config, base), "middle-numeric"

@@ -8,18 +8,22 @@ stochastic oracle for the same distribution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from .linalg import MAX_DIM, MIN_DIM, Observable, as_complex_matrix, is_hermitian, spectral_resolution
+from .linalg import Observable, _check_dim, as_complex_matrix, is_hermitian, spectral_resolution
 
 #: Probabilities in [-NEGATIVE_CLIP, 0) are treated as roundoff and clipped to 0.
 NEGATIVE_CLIP = 1e-12
 
 #: A probability table whose total is farther than this from 1 is rejected.
 TOTAL_TOL = 1e-9
+
+#: Largest joint table (product of the outcome counts) a measurement sequence may have.
+MAX_TABLE_CELLS = 2**20
 
 
 def normalize_state(vector) -> np.ndarray:
@@ -93,16 +97,29 @@ class JointDistribution:
             raise ValueError(f"joint table sums to {total!r}, not 1")
         object.__setattr__(self, "table", table / total)
 
-    @property
-    def n_axes(self) -> int:
-        return len(self.axes)
-
     def marginal(self, axis: int) -> np.ndarray:
         others = tuple(k for k in range(self.table.ndim) if k != axis)
         return self.table.sum(axis=others)
 
     def marginals(self) -> list:
         return [self.marginal(k) for k in range(self.table.ndim)]
+
+
+def _table_shape(rho: np.ndarray, observables) -> tuple:
+    """Shape of the joint table of ``observables`` measured in order on ``rho``.
+
+    Raises ``ValueError`` for an empty sequence or a table above
+    ``MAX_TABLE_CELLS``, before anything is allocated.
+    """
+    if not observables:
+        raise ValueError("need at least one observable")
+    for obs in observables:
+        obs.require_same_dim(rho)
+    shape = tuple(obs.n_outcomes for obs in observables)
+    cells = math.prod(shape)
+    if cells > MAX_TABLE_CELLS:
+        raise ValueError(f"joint table of {cells} cells exceeds the limit of {MAX_TABLE_CELLS}")
+    return shape
 
 
 def wigner_joint(rho: np.ndarray, *observables: Observable) -> JointDistribution:
@@ -113,12 +130,7 @@ def wigner_joint(rho: np.ndarray, *observables: Observable) -> JointDistribution
     ``Tr[... P_B(b_j) P_A(a_i) rho P_A(a_i) P_B(b_j) ...]``. Marginals over the
     trailing observables reproduce the shorter chain's distribution.
     """
-    if not observables:
-        raise ValueError("need at least one observable")
-    for obs in observables:
-        obs.require_same_dim(rho)
-
-    shape = tuple(obs.n_outcomes for obs in observables)
+    shape = _table_shape(rho, observables)
     table = np.empty(shape, dtype=float)
     for idx in product(*(range(n) for n in shape)):
         state = np.asarray(rho, dtype=complex)
@@ -128,11 +140,6 @@ def wigner_joint(rho: np.ndarray, *observables: Observable) -> JointDistribution
         table[idx] = np.trace(state).real
     axes = tuple(obs.eigenvalues.copy() for obs in observables)
     return JointDistribution(axes=axes, table=table)
-
-
-def sequential_marginals(joint: JointDistribution) -> list:
-    """Per-observable outcome distributions of a joint table (each sums to 1)."""
-    return joint.marginals()
 
 
 def interference_gap(rho: np.ndarray, first: Observable, second: Observable) -> float:
@@ -161,13 +168,8 @@ def sample_sequence(rho: np.ndarray, chain, n: int, seed: int) -> np.ndarray:
     if n < 1:
         raise ValueError("sample count must be >= 1")
     chain = list(chain)
-    if not chain:
-        raise ValueError("need at least one observable")
-    for obs in chain:
-        obs.require_same_dim(rho)
-
+    shape = _table_shape(rho, chain)
     rng = np.random.default_rng(seed)
-    shape = tuple(obs.n_outcomes for obs in chain)
     counts = np.zeros(shape, dtype=np.int64)
 
     def descend(state, weight_count, depth, idx):
@@ -175,9 +177,7 @@ def sample_sequence(rho: np.ndarray, chain, n: int, seed: int) -> np.ndarray:
             counts[idx] = weight_count
             return
         obs = chain[depth]
-        probs = _clip_probabilities(
-            np.einsum("kij,ji->k", np.stack(obs.projectors), state).real
-        )
+        probs = outcome_probabilities(state, obs)
         total = probs.sum()
         split = rng.multinomial(weight_count, probs / total)
         for i, c in enumerate(split):
@@ -203,14 +203,16 @@ def random_state(dim: int, seed: int) -> np.ndarray:
     return pure_density(random_state_vector(dim, np.random.default_rng(seed)))
 
 
-def random_observable(dim: int, seed: int) -> Observable:
-    """Random Hermitian observable (G + G^dagger)/2 with standard-normal G."""
-    _check_dim(dim)
-    rng = np.random.default_rng(seed)
+def random_hermitian(dim: int, rng) -> np.ndarray:
+    """Hermitian matrix (G + G^dagger)/2 with complex standard-normal G drawn from ``rng``."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return spectral_resolution((g + g.conj().T) / 2)
+    return (g + g.conj().T) / 2
 
 
-def _check_dim(dim: int) -> None:
-    if not (MIN_DIM <= dim <= MAX_DIM):
-        raise ValueError(f"dimension {dim} outside supported range {MIN_DIM}..{MAX_DIM}")
+def random_observable(dim: int, seed) -> Observable:
+    """Random Hermitian observable (G + G^dagger)/2 with standard-normal G.
+
+    ``seed`` is an integer seed or a ``numpy`` Generator to draw from.
+    """
+    _check_dim(dim)
+    return spectral_resolution(random_hermitian(dim, np.random.default_rng(seed)))

@@ -22,6 +22,8 @@ from .states import (
     luders_map,
     outcome_probabilities,
     pure_density,
+    random_hermitian,
+    random_observable,
     random_state_vector,
     wigner_joint,
 )
@@ -61,15 +63,6 @@ def _dump(**arrays) -> str:
     return "\n".join(parts)
 
 
-def _random_hermitian(dim, rng):
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return (g + g.conj().T) / 2
-
-
-def _random_observable(dim, rng):
-    return spectral_resolution(_random_hermitian(dim, rng))
-
-
 def _random_density(dim, rng):
     """Mixture of up to three random pure states (sometimes exactly pure)."""
     k = int(rng.integers(1, 4))
@@ -89,7 +82,7 @@ def check_spectral_resolution(seed, instances, dims) -> PropertyResult:
     rng = np.random.default_rng(seed)
     t = _Tracker()
     for i, dim in enumerate(_instance_dims(dims, instances)):
-        h = _random_hermitian(dim, rng)
+        h = random_hermitian(dim, rng)
         obs = spectral_resolution(h)
         where = f"instance {i} dim {dim}\n" + _dump(H=h)
         scale = max(operator_norm(h), 1e-300)
@@ -110,8 +103,8 @@ def check_eigh_unitary_invariance(seed, instances, dims) -> PropertyResult:
     rng = np.random.default_rng(seed)
     t = _Tracker()
     for i, dim in enumerate(_instance_dims(dims, instances)):
-        h = _random_hermitian(dim, rng)
-        _, u = eigh(_random_hermitian(dim, rng))
+        h = random_hermitian(dim, rng)
+        _, u = eigh(random_hermitian(dim, rng))
         before, _ = eigh(h)
         after, _ = eigh(u @ h @ u.conj().T)
         t.add(1e-9 - float(np.abs(before - after).max()),
@@ -125,7 +118,7 @@ def check_wigner_marginals(seed, instances, dims) -> PropertyResult:
     t = _Tracker()
     for i, dim in enumerate(_instance_dims(dims, instances)):
         rho = _random_density(dim, rng)
-        a, b = _random_observable(dim, rng), _random_observable(dim, rng)
+        a, b = random_observable(dim, rng), random_observable(dim, rng)
         joint = wigner_joint(rho, a, b)
         pa, pb = joint.marginals()
         where = f"instance {i} dim {dim}\n" + _dump(rho=rho, A=a.matrix, B=b.matrix)
@@ -143,8 +136,8 @@ def check_luders_fixed_points(seed, instances, dims) -> PropertyResult:
     t = _Tracker()
     for i, dim in enumerate(_instance_dims(dims, instances)):
         rho = _random_density(dim, rng)
-        a = _random_observable(dim, rng)
-        b = _random_observable(dim, rng)
+        a = random_observable(dim, rng)
+        b = random_observable(dim, rng)
         once = luders_map(rho, a)
         where = f"instance {i} dim {dim}\n" + _dump(rho=rho, A=a.matrix)
         for p in a.projectors:
@@ -162,7 +155,7 @@ def check_sequential_entropy_identities(seed, instances, dims) -> PropertyResult
     t = _Tracker()
     for i, dim in enumerate(_instance_dims(dims, instances)):
         rho = _random_density(dim, rng)
-        a, b = _random_observable(dim, rng), _random_observable(dim, rng)
+        a, b = random_observable(dim, rng), random_observable(dim, rng)
         rep = ent.entropies_sequential(rho, a, b)
         collapsed = luders_map(rho, a)
         where = f"instance {i} dim {dim}\n" + _dump(rho=rho, A=a.matrix, B=b.matrix)
@@ -180,7 +173,7 @@ def check_joint_subadditivity(seed, instances, dims) -> PropertyResult:
     t = _Tracker()
     for i, dim in enumerate(_instance_dims(dims, instances)):
         rho = _random_density(dim, rng)
-        a, b, c = (_random_observable(dim, rng) for _ in range(3))
+        a, b, c = (random_observable(dim, rng) for _ in range(3))
         two = ent.entropies_sequential(rho, a, b)
         where = f"instance {i} dim {dim}\n" + _dump(rho=rho, A=a.matrix, B=b.matrix)
         t.add(1e-9 + (two.s_a + two.s_b - two.s_joint), "subadditivity " + where)
@@ -198,7 +191,7 @@ def check_strong_subadditivity(seed, instances, dims) -> PropertyResult:
     t = _Tracker()
     for i, dim in enumerate(_instance_dims(dims, instances)):
         rho = _random_density(dim, rng)
-        a, b, c = (_random_observable(dim, rng) for _ in range(3))
+        a, b, c = (random_observable(dim, rng) for _ in range(3))
         joint = wigner_joint(rho, a, b, c)
         s_abc = ent.shannon_entropy(joint.table)
         s_ab = ent.shannon_entropy(joint.table.sum(axis=2))
@@ -216,7 +209,7 @@ def check_joint_entropy_floor(seed, instances, dims) -> PropertyResult:
     t = _Tracker()
     for i, dim in enumerate(_instance_dims(dims, instances)):
         rho = _random_density(dim, rng)
-        a, b = _random_observable(dim, rng), _random_observable(dim, rng)
+        a, b = random_observable(dim, rng), random_observable(dim, rng)
         s_joint = ent.entropies_sequential(rho, a, b).s_joint
         t.add(1e-9 + (s_joint - bd.krishna_parthasarathy_bound(a, b)),
               f"instance {i} dim {dim}\n" + _dump(rho=rho, A=a.matrix, B=b.matrix))
@@ -228,7 +221,7 @@ def check_bound_ordering(seed, instances, dims) -> PropertyResult:
     rng = np.random.default_rng(seed)
     t = _Tracker()
     for i, dim in enumerate(_instance_dims(dims, instances)):
-        a, b = _random_observable(dim, rng), _random_observable(dim, rng)
+        a, b = random_observable(dim, rng), random_observable(dim, rng)
         where = f"instance {i} dim {dim}\n" + _dump(A=a.matrix, B=b.matrix)
         ls = bd.lambda_s_two(a, b)
         kp = bd.krishna_parthasarathy_bound(a, b)
@@ -245,7 +238,7 @@ def check_projector_norm_identity(seed, instances, dims) -> PropertyResult:
     rng = np.random.default_rng(seed)
     t = _Tracker()
     for i, dim in enumerate(_instance_dims(dims, instances)):
-        a, b = _random_observable(dim, rng), _random_observable(dim, rng)
+        a, b = random_observable(dim, rng), random_observable(dim, rng)
         where = f"instance {i} dim {dim}\n" + _dump(A=a.matrix, B=b.matrix)
         for p in a.projectors:
             for q in b.projectors:
@@ -263,7 +256,7 @@ def check_sequential_entropy_floor(seed, instances, dims) -> PropertyResult:
     t = _Tracker()
     for i, dim in enumerate(_instance_dims(dims, instances)):
         rho = _random_density(dim, rng)
-        a, b = _random_observable(dim, rng), _random_observable(dim, rng)
+        a, b = random_observable(dim, rng), random_observable(dim, rng)
         s_b = ent.entropies_sequential(rho, a, b).s_b
         t.add(1e-9 + (s_b - bd.lambda_s_two(a, b)),
               f"instance {i} dim {dim}\n" + _dump(rho=rho, A=a.matrix, B=b.matrix))
@@ -275,7 +268,7 @@ def check_second_stage_dominance(seed, instances, dims) -> PropertyResult:
     rng = np.random.default_rng(seed)
     t = _Tracker()
     for i, dim in enumerate(_instance_dims(dims, instances)):
-        a, b, c = (_random_observable(dim, rng) for _ in range(3))
+        a, b, c = (random_observable(dim, rng) for _ in range(3))
         triple = bd.lambda_s_three(a, b, c)
         t.add(1e-9 + (triple.second_stage - bd.lambda_s_two(a, b)),
               f"instance {i} dim {dim}\n" + _dump(A=a.matrix, B=b.matrix, C=c.matrix))
@@ -287,8 +280,8 @@ def check_transition_doubly_stochastic(seed, instances, dims) -> PropertyResult:
     rng = np.random.default_rng(seed)
     t = _Tracker()
     for i, dim in enumerate(_instance_dims(dims, instances)):
-        b, c = _random_observable(dim, rng), _random_observable(dim, rng)
-        u = bd.transition_matrix(b, c)
+        b, c = random_observable(dim, rng), random_observable(dim, rng)
+        u = bd.squared_overlaps(b, c)
         where = f"instance {i} dim {dim}\n" + _dump(U=u)
         t.add(1e-9 - float(np.abs(u.sum(axis=0) - 1).max()), "columns " + where)
         t.add(1e-9 - float(np.abs(u.sum(axis=1) - 1).max()), "rows " + where)
@@ -301,7 +294,7 @@ def check_variance_relations(seed, instances, dims) -> PropertyResult:
     t = _Tracker()
     for i, dim in enumerate(_instance_dims(dims, instances)):
         rho = _random_density(dim, rng)
-        a, b = _random_observable(dim, rng), _random_observable(dim, rng)
+        a, b = random_observable(dim, rng), random_observable(dim, rng)
         rep = ent.variance_relations(rho, a, b)
         where = f"instance {i} dim {dim}\n" + _dump(rho=rho, A=a.matrix, B=b.matrix)
         t.add(1e-9 + (rep.var_a * rep.var_b - rep.robertson_rhs),

@@ -1,5 +1,9 @@
+import csv
+import io
 import json
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +18,37 @@ ZX_DOC = {
     },
     "state": [[0.7071067811865476, 0], [0.7071067811865476, 0]],
 }
+
+
+ZZ_DOC = dict(ZX_DOC, observables={"Z": ZX_DOC["observables"]["Z"],
+                                   "Z2": ZX_DOC["observables"]["Z"]})
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+
+#: Golden CLI runs, all exiting 0. Scenario paths are relative to a
+#: directory holding ``zx.json`` and ``zz.json``.
+GOLDEN_CASES = {
+    "bounds-zx-pair": ["bounds", "zx.json", "--order", "Z", "X", "--starts", "8"],
+    "bounds-zx-triple": ["bounds", "zx.json", "--order", "Z", "X", "Z", "--starts", "8"],
+    "bounds-zz-pair": ["bounds", "zz.json", "--order", "Z", "Z2", "--starts", "8"],
+    "bounds-zz-triple": ["bounds", "zz.json", "--order", "Z", "Z2", "Z", "--starts", "8"],
+    "table1": ["table1"],
+    "sweep": ["sweep", "--theta-min", "0", "--theta-max", "180", "--steps", "7"],
+    "verify": ["verify", "--instances", "4", "--dims", "2-3", "--seed", "9"],
+    "simulate": ["simulate", "zx.json", "--order", "Z", "X", "--samples", "20000", "--seed", "11"],
+}
+
+_TIMING_LINE = re.compile(r'\s*"?timing_s\b')
+
+
+def run_golden_case(name: str, fmt: str, workdir, capsys) -> tuple:
+    """(exit code, stdout without its timing line) of one golden run in ``workdir``."""
+    (workdir / "zx.json").write_text(json.dumps(ZX_DOC))
+    (workdir / "zz.json").write_text(json.dumps(ZZ_DOC))
+    code = main(GOLDEN_CASES[name] + ["--format", fmt])
+    out = capsys.readouterr().out
+    return code, "".join(line for line in out.splitlines(keepends=True)
+                         if not _TIMING_LINE.match(line))
 
 
 @pytest.fixture()
@@ -34,17 +69,17 @@ class TestBounds:
         assert "seed=0" in out
 
     def test_equal_observables_all_zero(self, tmp_path, capsys):
-        doc = dict(ZX_DOC)
-        doc["observables"] = {"Z": ZX_DOC["observables"]["Z"],
-                              "Z2": ZX_DOC["observables"]["Z"]}
         path = tmp_path / "zz.json"
-        path.write_text(json.dumps(doc))
-        code = main(["bounds", str(path), "--order", "Z", "Z2", "--starts", "8"])
-        out = capsys.readouterr().out
-        assert code == 0
-        for line in out.splitlines():
-            if line.startswith(("deutsch", "partovi", "maassen", "krishna", "lambda")):
-                assert abs(float(line.split()[-1])) <= 1e-6
+        path.write_text(json.dumps(ZZ_DOC))
+        for order in (["Z", "Z2"], ["Z", "Z2", "Z"]):
+            code = main(["bounds", str(path), "--order", *order, "--starts", "8"])
+            out = capsys.readouterr().out
+            assert code == 0
+            for line in out.splitlines():
+                if line.startswith(("deutsch", "partovi", "maassen", "krishna", "lambda",
+                                    "third")):
+                    assert abs(float(line.split()[-1])) <= 1e-6
+                    assert line.split()[-1] != "-0"
 
     def test_triple(self, zx_file, capsys):
         code = main(["bounds", zx_file, "--order", "Z", "X", "Z", "--starts", "8"])
@@ -81,6 +116,17 @@ class TestBounds:
     def test_bad_log_base(self, zx_file, capsys):
         assert main(["bounds", zx_file, "--order", "Z", "X",
                      "--log-base", "0.5"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "zx.json", "--order", "Z", "X", "--log-base", "nan"],
+        ["sweep", "--log-base", "inf"],
+        ["table1", "--tolerance", "nan"],
+        ["table1", "--tolerance", "inf"],
+    ])
+    def test_non_finite_flags_rejected(self, zx_file, monkeypatch, capsys, argv):
+        monkeypatch.chdir(pathlib.Path(zx_file).parent)
+        assert main(argv) == 2
+        assert capsys.readouterr().out == ""
 
     def test_wrong_order_count(self, zx_file, capsys):
         assert main(["bounds", zx_file, "--order", "Z"]) == 2
@@ -174,6 +220,15 @@ class TestVerify:
     def test_bad_dims_rejected(self, capsys):
         assert main(["verify", "--instances", "5", "--dims", "1-99"]) == 2
 
+    def test_csv_rows(self, capsys):
+        assert main(["verify", "--instances", "4", "--dims", "2-3", "--seed", "9",
+                     "--format", "csv"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows[0] == ["name", "ok", "checked", "margin"]
+        assert len(rows) == 16
+        assert all(ok == "true" and int(checked) > 0 and float(margin) >= 0
+                   for _, ok, checked, margin in rows[1:])
+
     def test_rerun_is_byte_identical(self, capsys):
         assert main(["verify", "--instances", "4", "--dims", "2-3", "--seed", "9"]) == 0
         first = capsys.readouterr().out
@@ -212,5 +267,31 @@ class TestSimulate:
             delta = abs(marginal["entropy_empirical"] - marginal["entropy_analytic"])
             assert delta <= 3 * marginal["entropy_stderr"] + 1e-6
 
+    def test_csv_rows_are_joint_cells(self, zx_file, capsys):
+        assert main(["simulate", zx_file, "--order", "Z", "X", "Z",
+                     "--samples", "20000", "--seed", "11", "--format", "csv"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows[0] == ["Z", "X", "Z", "analytic", "empirical"]
+        assert len(rows) == 1 + 2**3
+        assert {tuple(r[:3]) for r in rows[1:]} == {
+            (a, b, c) for a in ("-1", "1") for b in ("-1", "1") for c in ("-1", "1")}
+        analytic = np.array([float(r[3]) for r in rows[1:]])
+        empirical = np.array([float(r[4]) for r in rows[1:]])
+        assert analytic.sum() == pytest.approx(1.0) and empirical.sum() == pytest.approx(1.0)
+        assert np.abs(analytic - empirical).max() < 0.02
+
+    def test_long_order_rejected_before_allocating(self, zx_file, capsys):
+        assert main(["simulate", zx_file, "--order", *(["Z"] * 21)]) == 2
+        assert "exceeds the limit" in capsys.readouterr().err
+
     def test_zero_samples_rejected(self, zx_file, capsys):
         assert main(["simulate", zx_file, "--order", "Z", "X", "--samples", "0"]) == 2
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_golden_output(name, fmt, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out = run_golden_case(name, fmt, tmp_path, capsys)
+    assert code == 0
+    assert out == (GOLDEN_DIR / f"{name}.{fmt}").read_text(encoding="utf-8")

@@ -3,6 +3,7 @@ import pytest
 
 from sequr.errors import DimensionMismatch
 from sequr.states import (
+    MAX_TABLE_CELLS,
     JointDistribution,
     check_density,
     interference_gap,
@@ -11,7 +12,6 @@ from sequr.states import (
     random_observable,
     random_state,
     sample_sequence,
-    sequential_marginals,
     wigner_joint,
 )
 
@@ -96,7 +96,7 @@ class TestJointDistribution:
 
     def test_marginals_sum_to_one(self, z_plus, sigma_z, sigma_x):
         joint = wigner_joint(z_plus, sigma_z, sigma_x, sigma_z)
-        for marginal in sequential_marginals(joint):
+        for marginal in joint.marginals():
             assert marginal.sum() == pytest.approx(1.0)
             assert marginal.min() >= 0.0
 
@@ -105,7 +105,7 @@ class TestJointDistribution:
         q = np.array([0.5, 0.25, 0.25])
         joint = JointDistribution(axes=(np.array([0, 1]), np.array([0, 1, 2])),
                                   table=np.outer(p, q))
-        ma, mb = sequential_marginals(joint)
+        ma, mb = joint.marginals()
         assert np.allclose(ma, p)
         assert np.allclose(mb, q)
 
@@ -144,6 +144,17 @@ class TestSampleSequence:
         with pytest.raises(ValueError):
             sample_sequence(z_plus, [sigma_z], n=0, seed=1)
 
+    @pytest.mark.parametrize("build", [
+        lambda rho, chain: wigner_joint(rho, *chain),
+        lambda rho, chain: sample_sequence(rho, chain, n=1, seed=0),
+    ], ids=["wigner_joint", "sample_sequence"])
+    def test_table_size_cap(self, z_plus, sigma_z, build):
+        # 2**k qubit outcomes is the smallest power of two above the cap
+        k = MAX_TABLE_CELLS.bit_length()
+        build(z_plus, [sigma_z] * 2)
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            build(z_plus, [sigma_z] * k)
+
     def test_monte_carlo_matches_wigner_joint(self):
         """Every cell within 4 sigma of the analytic probability, 20 scenarios."""
         n = 10**5
@@ -172,6 +183,8 @@ class TestRandomGenerators:
         a = random_observable(4, seed=6)
         b = random_observable(4, seed=6)
         assert np.array_equal(a.matrix, b.matrix)
+        c = random_observable(4, np.random.default_rng(6))
+        assert np.array_equal(a.matrix, c.matrix)
 
     def test_dim_range(self):
         with pytest.raises(ValueError):
