@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .entropy import _entropy, _quadratic_entropy
-from .linalg import Observable, operator_norm, projector_stack
+from .linalg import Observable, operator_norm
 from .optimize import OptimizerConfig, minimize_in_subspace
 
 #: Starts per subspace dimension when a degenerate eigenspace needs a search.
@@ -92,16 +92,15 @@ def lambda_s_two(
     """
     a.require_same_dim(b)
     ln_base = math.log(base)
-    stack = projector_stack(b)
     candidates = []
     for basis in a.eigenvectors:
         if basis.shape[1] == 1:
-            candidates.append(_quadratic_entropy(stack, basis[:, 0], ln_base))
+            candidates.append(_quadratic_entropy(b.projectors, basis[:, 0], ln_base))
         else:
             cfg = replace(config or OptimizerConfig(seed=0),
                           starts=_SUBSPACE_STARTS * basis.shape[1])
             res = minimize_in_subspace(
-                lambda psi: _quadratic_entropy(stack, psi, ln_base),
+                lambda psi: _quadratic_entropy(b.projectors, psi, ln_base),
                 [basis[:, k] for k in range(basis.shape[1])],
                 cfg,
             )
@@ -118,15 +117,12 @@ class TripleBound:
     ``common_state`` ties both stages to one initial eigenstate and is what an
     unconstrained minimization over states attains, so
     ``common_state >= stagewise`` always. ``second_stage`` is the third
-    observable's entropy bound alone, and ``transition`` the doubly stochastic
-    overlap matrix between the second and third eigenbases.
+    observable's entropy bound alone.
     """
 
     stagewise: float
     common_state: float
     second_stage: float
-    transition: np.ndarray
-    log_base: float
 
 
 def lambda_s_three(
@@ -152,8 +148,6 @@ def lambda_s_three(
         stagewise=float(first.min() + second.min()),
         common_state=float((first + second).min()),
         second_stage=float(second.min()),
-        transition=v,
-        log_base=base,
     )
 
 
@@ -170,7 +164,6 @@ class BoundReport:
     maassen_uffink: float | None
     krishna_parthasarathy: float
     lambda_s: float
-    log_base: float
 
 
 def bound_report(
@@ -185,5 +178,4 @@ def bound_report(
         maassen_uffink=maassen_uffink_bound(a, b, base) if nondegenerate else None,
         krishna_parthasarathy=krishna_parthasarathy_bound(a, b, base),
         lambda_s=lambda_s_two(a, b, base, config),
-        log_base=base,
     )

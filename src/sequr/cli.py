@@ -56,6 +56,9 @@ REFERENCE_TABLE = (
     (90, 0.693, 0.693, 0.693, 0.317),
 )
 
+#: Most angles one ``sweep`` evaluates.
+MAX_SWEEP_STEPS = 10**5
+
 
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
@@ -301,6 +304,8 @@ def cmd_sweep(args) -> int:
     base = _parse_log_base(args.log_base)
     if args.steps < 1 or not 0 <= args.theta_min <= args.theta_max <= 180:
         raise ScenarioError("need 0 <= theta-min <= theta-max <= 180 and steps >= 1")
+    if args.steps > MAX_SWEEP_STEPS:
+        raise ScenarioError(f"--steps {args.steps} exceeds the limit of {MAX_SWEEP_STEPS}")
     config = OptimizerConfig(starts=32, seed=args.seed)
     grid = np.linspace(args.theta_min, args.theta_max, args.steps)
     points = [curve_point(math.radians(d), config, base) for d in grid]
@@ -388,8 +393,10 @@ def cmd_simulate(args) -> int:
     chain = scenario.pick(args.order)
     rho = scenario.state_or_mixed()
 
-    joint = wigner_joint(rho, *chain)
+    # the sampler validates the sample count, so an oversized one is refused
+    # before the analytic table is built
     counts = sample_sequence(rho, chain, args.samples, args.seed)
+    joint = wigner_joint(rho, *chain)
     freqs = counts / args.samples
     ln_base = math.log(base)
 

@@ -70,11 +70,7 @@ class EntropyReport:
     s_a: float
     s_b: float
     s_joint: float
-    log_base: float
     s_c: float | None = None
-
-    def marginal_sum(self) -> float:
-        return self.s_a + self.s_b + (self.s_c or 0.0)
 
 
 def entropies_sequential(
@@ -99,7 +95,7 @@ def entropies_sequential_3(
 def _sequential_report(joint, base: float) -> EntropyReport:
     s_a, s_b, *s_c = (shannon_entropy(p, base) for p in joint.marginals())
     return EntropyReport(s_a=s_a, s_b=s_b, s_c=s_c[0] if s_c else None,
-                         s_joint=shannon_entropy(joint.table, base), log_base=base)
+                         s_joint=shannon_entropy(joint.table, base))
 
 
 @dataclass(frozen=True)

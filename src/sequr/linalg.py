@@ -30,22 +30,22 @@ def as_complex_matrix(matrix) -> np.ndarray:
     return m
 
 
-def is_hermitian(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    """True if ``matrix`` equals its conjugate transpose within ``tol`` (relative)."""
+def is_hermitian(matrix: np.ndarray) -> bool:
+    """True if ``matrix`` equals its conjugate transpose within ``HERMITICITY_TOL`` (relative)."""
     m = as_complex_matrix(matrix)
     scale = max(np.abs(m).max(), 1.0)
-    return np.abs(m - m.conj().T).max() <= tol * scale
+    return np.abs(m - m.conj().T).max() <= HERMITICITY_TOL * scale
 
 
-def eigh(matrix: np.ndarray, tol: float = HERMITICITY_TOL):
+def eigh(matrix: np.ndarray):
     """Eigendecompose a Hermitian matrix.
 
     Returns ``(eigenvalues, eigenvectors)`` with real eigenvalues in ascending
     order and orthonormal eigenvectors as the columns of the second array.
-    Raises ``ValueError`` if the input is not Hermitian within ``tol``.
+    Raises ``ValueError`` if the input is not Hermitian (``is_hermitian``).
     """
     m = as_complex_matrix(matrix)
-    if not is_hermitian(m, tol):
+    if not is_hermitian(m):
         raise ValueError("matrix is not Hermitian within tolerance")
     values, vectors = np.linalg.eigh(m)
     return values, vectors
@@ -69,14 +69,15 @@ class Observable:
 
     The operator is stored as ``matrix`` and as the resolution
     ``sum_i eigenvalues[i] * projectors[i]`` into distinct eigenvalues with
-    orthogonal eigenprojectors. ``eigenvectors[i]`` holds an orthonormal basis
+    orthogonal eigenprojectors, stacked in one ``(n_outcomes, dim, dim)``
+    array. ``eigenvectors[i]`` holds an orthonormal basis
     of the i-th eigenspace as columns, so its shape is
     ``(dim, multiplicities[i])``.
     """
 
     matrix: np.ndarray
     eigenvalues: np.ndarray  # distinct, strictly increasing
-    projectors: tuple = field(repr=False)
+    projectors: np.ndarray = field(repr=False)
     multiplicities: tuple = ()
     eigenvectors: tuple = field(default=(), repr=False)
 
@@ -109,20 +110,18 @@ def _check_dim(dim: int) -> None:
         raise ValueError(f"dimension {dim} outside supported range {MIN_DIM}..{MAX_DIM}")
 
 
-def spectral_resolution(matrix: np.ndarray, cluster_tol: float | None = None) -> Observable:
+def spectral_resolution(matrix: np.ndarray) -> Observable:
     """Build the spectral resolution of a Hermitian matrix.
 
-    Eigenvalues closer than ``cluster_tol`` are merged into a single distinct
-    eigenvalue whose projector is the sum over the cluster (the reported
-    eigenvalue is the cluster mean). Defaults to
-    ``1e-8 * max(spectral spread, 1)``.
+    Eigenvalues closer than ``default_cluster_tol`` (``1e-8 * max(spectral
+    spread, 1)``) are merged into a single distinct eigenvalue whose projector
+    is the sum over the cluster (the reported eigenvalue is the cluster mean).
     """
     m = as_complex_matrix(matrix)
     dim = m.shape[0]
     _check_dim(dim)
     values, vectors = eigh(m)
-    if cluster_tol is None:
-        cluster_tol = default_cluster_tol(values)
+    cluster_tol = default_cluster_tol(values)
 
     # Split ascending eigenvalues wherever the gap exceeds the threshold.
     boundaries = [0]
@@ -145,12 +144,8 @@ def spectral_resolution(matrix: np.ndarray, cluster_tol: float | None = None) ->
     return Observable(
         matrix=m,
         eigenvalues=np.array(distinct),
-        projectors=tuple(projectors),
+        projectors=np.stack(projectors),
         multiplicities=tuple(multiplicities),
         eigenvectors=tuple(groups),
     )
 
-
-def projector_stack(obs: Observable) -> np.ndarray:
-    """Eigenprojectors as one (n_outcomes, dim, dim) array."""
-    return np.stack(obs.projectors)

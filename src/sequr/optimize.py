@@ -19,7 +19,7 @@ from scipy.optimize import minimize as _scipy_minimize
 
 from .entropy import _quadratic_entropy
 from .errors import OptimizerFailure
-from .linalg import Observable, projector_stack
+from .linalg import Observable
 
 _NORM_FLOOR = 1e-12
 _PENALTY = 1e30
@@ -150,9 +150,9 @@ def _sequential_stacks(chain) -> list:
     """
     stacks = []
     for depth, obs in enumerate(chain):
-        stack = projector_stack(obs)
+        stack = obs.projectors
         for earlier in reversed(chain[:depth]):
-            ps = projector_stack(earlier)
+            ps = earlier.projectors
             stack = np.einsum("mij,kjl,mln->kin", ps, stack, ps)
         stacks.append(stack)
     return stacks
@@ -177,7 +177,7 @@ def lambda_d_numeric(
     """Optimal distinct-measurement bound: infimum of S(A) + S(B) over states."""
     a.require_same_dim(b)
     config = config or OptimizerConfig()
-    return _lambda_result([projector_stack(a), projector_stack(b)], a.dim, config, base)
+    return _lambda_result([a.projectors, b.projectors], a.dim, config, base)
 
 
 def lambda_s_numeric(

@@ -26,6 +26,9 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 _MIDDLE_STARTS = 32
 
+#: Slack allowed in each inequality of ``ThetaCurvePoint.chain_holds``.
+CHAIN_SLACK = 1e-6
+
 
 def spin_observable(n) -> Observable:
     """Spin component along a unit 3-vector, as sigma . n with eigenvalues -1, +1."""
@@ -119,11 +122,11 @@ class ThetaCurvePoint:
     def theta_deg(self) -> float:
         return math.degrees(self.theta)
 
-    def chain_holds(self, slack: float = 1e-6) -> bool:
+    def chain_holds(self) -> bool:
         return (
-            self.lambda_s >= self.lambda_d - slack
-            and self.lambda_d >= self.lambda_d2 - slack
-            and self.lambda_d2 >= 2.0 * self.lambda_d1 - slack
+            self.lambda_s >= self.lambda_d - CHAIN_SLACK
+            and self.lambda_d >= self.lambda_d2 - CHAIN_SLACK
+            and self.lambda_d2 >= 2.0 * self.lambda_d1 - CHAIN_SLACK
         )
 
 

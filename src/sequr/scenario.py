@@ -92,7 +92,7 @@ def parse_scenario(text: str) -> Scenario:
     observables = {}
     for name, rows in obs_doc.items():
         m = _complex_matrix(rows, dim, f"observables[{name}]")
-        if not is_hermitian(m, tol=1e-8):
+        if not is_hermitian(m):
             raise ScenarioError(f"observable {name!r} is not Hermitian within 1e-8")
         try:
             observables[name] = spectral_resolution(m)

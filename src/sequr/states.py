@@ -25,6 +25,9 @@ TOTAL_TOL = 1e-9
 #: Largest joint table (product of the outcome counts) a measurement sequence may have.
 MAX_TABLE_CELLS = 2**20
 
+#: Largest sample count ``sample_sequence`` accepts: its counts are int64.
+MAX_SAMPLES = int(np.iinfo(np.int64).max)
+
 
 def normalize_state(vector) -> np.ndarray:
     """Return ``vector`` scaled to unit norm."""
@@ -62,7 +65,7 @@ def _clip_probabilities(p: np.ndarray) -> np.ndarray:
 def outcome_probabilities(rho: np.ndarray, obs: Observable) -> np.ndarray:
     """Outcome distribution Tr[rho P(a_i)] of a single measurement, no collapse."""
     obs.require_same_dim(rho)
-    p = np.einsum("kij,ji->k", np.stack(obs.projectors), rho).real
+    p = np.einsum("kij,ji->k", obs.projectors, rho).real
     return _clip_probabilities(p)
 
 
@@ -167,6 +170,8 @@ def sample_sequence(rho: np.ndarray, chain, n: int, seed: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("sample count must be >= 1")
+    if n > MAX_SAMPLES:
+        raise ValueError(f"sample count {n} exceeds the limit of {MAX_SAMPLES}")
     chain = list(chain)
     shape = _table_shape(rho, chain)
     rng = np.random.default_rng(seed)

@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from sequr import bounds, qubit
 from sequr.cli import main
 
 ZX_DOC = {
@@ -288,6 +289,16 @@ class TestSimulate:
         assert main(["simulate", zx_file, "--order", "Z", "X", "--samples", "0"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "zx.json", "--order", "Z", "X", "--samples", str(2**63)],
+    ["sweep", "--steps", str(10**13)],
+])
+def test_oversized_input_rejected(argv, zx_file, monkeypatch, capsys):
+    monkeypatch.chdir(pathlib.Path(zx_file).parent)
+    assert main(argv) == 2
+    assert "exceeds the limit" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_golden_output(name, fmt, tmp_path, monkeypatch, capsys):
@@ -295,3 +306,21 @@ def test_golden_output(name, fmt, tmp_path, monkeypatch, capsys):
     code, out = run_golden_case(name, fmt, tmp_path, capsys)
     assert code == 0
     assert out == (GOLDEN_DIR / f"{name}.{fmt}").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_golden_failing_verify(fmt, monkeypatch, capsys):
+    """Forced failures print each failing property's worst counterexample.
+
+    With both bounds at 10, joint-entropy-floor fails on an unlabelled check,
+    bound-ordering on ``sequential >= KP`` and qubit-bound-chain on
+    ``optimal >= MU at 0 deg``.
+    """
+    def ten(*args, **kwargs):
+        return 10.0
+
+    monkeypatch.setattr(bounds, "krishna_parthasarathy_bound", ten)
+    monkeypatch.setattr(qubit, "mu_theta", ten)
+    assert main(GOLDEN_CASES["verify"] + ["--format", fmt]) == 1
+    expected = (GOLDEN_DIR / f"verify-fail.{fmt}").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected

@@ -56,8 +56,7 @@ class TestEigh:
 
 class TestSpectralResolution:
     def test_exact_degeneracy(self):
-        obs = spectral_resolution(np.diag([1.0, 1.0, 2.0]).astype(complex),
-                                  cluster_tol=1e-8)
+        obs = spectral_resolution(np.diag([1.0, 1.0, 2.0]).astype(complex))
         assert np.allclose(obs.eigenvalues, [1.0, 2.0])
         assert obs.multiplicities == (2, 1)
 
@@ -72,7 +71,7 @@ class TestSpectralResolution:
         raw = np.sort(np.linalg.eigvalsh(h))
         splits = 1 + int(np.sum(np.diff(raw) > 1e-8))
         assert splits == 2
-        obs = spectral_resolution(h, cluster_tol=1e-8)
+        obs = spectral_resolution(h)
         assert obs.n_outcomes == 2
         assert obs.multiplicities == (2, 1)
 

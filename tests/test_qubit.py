@@ -175,7 +175,7 @@ def test_chain_inequality_on_fine_grid():
     """Bound ordering holds at every whole degree from 0 to 180."""
     for deg in range(0, 181):
         p = curve_point(math.radians(deg))
-        assert p.chain_holds(slack=1e-6), f"chain fails at {deg} degrees"
+        assert p.chain_holds(), f"chain fails at {deg} degrees"
 
 
 def test_strict_gap_between_sequential_and_distinct_optimum():
