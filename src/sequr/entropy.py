@@ -26,11 +26,12 @@ def _entropy(p: np.ndarray, ln_base: float) -> float:
     """Entropy -sum p_i log p_i of nonnegative weights, divided by ``ln_base = log(base)``.
 
     Kept private so that tracing public functions adds nothing to the
-    optimizer objectives, which call it on every evaluation. The ``+ 0.0``
-    turns the ``-0.0`` of a single certain outcome into ``0.0``.
+    optimizer objectives, which call it on every evaluation. A weight that
+    rounds slightly above 1 would give a tiny negative sum; ``max`` returns its
+    first argument on a tie, so the result is never negative and never ``-0.0``.
     """
     p = p[p > WEIGHT_FLOOR]
-    return float(-(p * np.log(p)).sum() / ln_base) + 0.0
+    return max(0.0, float(-(p * np.log(p)).sum() / ln_base))
 
 
 def _quadratic_entropy(stack: np.ndarray, state: np.ndarray, ln_base: float) -> float:

@@ -42,6 +42,14 @@ class TestShannonEntropy:
         assert math.isfinite(value)
         assert value >= 0.0
 
+    def test_weight_rounded_above_one_gives_positive_zero(self):
+        # a certain outcome whose weight rounds a few ulp above 1 made -p log p
+        # slightly negative; the result is clamped to +0.0, never -0.0
+        for weight in (1.0, 1.0 + 2.0**-52, 1.0 + 4 * 2.0**-52):
+            value = shannon_entropy([weight, 0.0])
+            assert value == 0.0
+            assert math.copysign(1.0, value) == 1.0
+
 
 class TestEntropyDistinct:
     def test_eigenstate(self, z_plus, sigma_z):
