@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .entropy import _entropy, _quadratic_entropy
+from .entropy import _entropy, _quadratic_entropy, _quadratic_entropy_gradient
 from .linalg import Observable, operator_norm
 from .optimize import OptimizerConfig, minimize_in_subspace
 
@@ -103,6 +103,7 @@ def lambda_s_two(
                 lambda psi: _quadratic_entropy(b.projectors, psi, ln_base),
                 [basis[:, k] for k in range(basis.shape[1])],
                 cfg,
+                gradient=lambda psi: _quadratic_entropy_gradient(b.projectors, psi, ln_base),
             )
             candidates.append(res.value)
     return min(candidates)

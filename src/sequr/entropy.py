@@ -42,6 +42,21 @@ def _quadratic_entropy(stack: np.ndarray, state: np.ndarray, ln_base: float) -> 
     )
 
 
+def _quadratic_entropy_gradient(stack: np.ndarray, state: np.ndarray, ln_base: float) -> np.ndarray:
+    """Wirtinger gradient dS/dpsi-bar = -sum_k (log p_k + 1) M_k psi / ln_base of ``_quadratic_entropy``.
+
+    Weights at or below ``WEIGHT_FLOOR`` get no log term, as the value drops
+    them, so the singularity at p_k = 0 never enters. Their ``+ 1`` terms are
+    kept: on a stack that sums to the identity the ``+ 1`` terms add up to a
+    multiple of psi, which has no component along the unit sphere, so the
+    gradient stays zero wherever the value is flat to machine precision.
+    """
+    m_psi = stack @ state
+    p = (state.conj() @ m_psi.T).real
+    log_p = np.log(p, out=np.zeros_like(p), where=p > WEIGHT_FLOOR)
+    return -((log_p + 1.0) @ m_psi) / ln_base
+
+
 def shannon_entropy(weights, base: float = math.e) -> float:
     """Entropy -sum p_i log p_i of a discrete distribution.
 

@@ -4,25 +4,37 @@ Restricting the search to pure states is exact: the entropy objectives are
 concave in the density operator, so their infimum over the convex set of all
 states is attained at an extreme point. A pure state in dimension d is
 parameterized by 2d-1 reals (first amplitude real, global phase fixed,
-normalization applied inside the objective), and each multi-start runs a
-derivative-free Powell direction-set search from a seeded random start, so
-results are deterministic and independent of scheduling.
+normalization applied inside the objective). Each start runs one Powell
+sweep (a line search along every coordinate) from a seeded random point,
+which picks the basin, then L-BFGS-B from there to converge in it. Results
+are deterministic and independent of scheduling.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 
-from .entropy import _quadratic_entropy
+from .entropy import _quadratic_entropy, _quadratic_entropy_gradient
 from .errors import OptimizerFailure
 from .linalg import Observable
 
 _NORM_FLOOR = 1e-12
 _PENALTY = 1e30
+#: Powell ``xtol`` of the basin-picking sweep; its line searches stop at 100x
+#: this relative step. The sweep only has to reach the basin: L-BFGS-B then
+#: converges in it.
+_SWEEP_XTOL = 1e-6
+#: L-BFGS-B stopping tolerances: projected-gradient norm and relative value change.
+#: Near an optimum with vanishing outcome probabilities the value stops
+#: resolving changes at gradient norms of about 1e-7, where a smaller
+#: ``_GTOL`` ends the line search abnormally instead of converging.
+_GTOL = 1e-6
+_FTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -30,13 +42,12 @@ class OptimizerConfig:
     starts: int = 64
     max_iterations: int = 2000
     value_tolerance: float = 1e-8
-    step_tolerance: float = 1e-10
     seed: int = 0
 
     def __post_init__(self):
         if self.starts < 1 or self.max_iterations < 1:
             raise ValueError("starts and max_iterations must be >= 1")
-        if self.value_tolerance <= 0 or self.step_tolerance <= 0:
+        if self.value_tolerance <= 0:
             raise ValueError("tolerances must be positive")
 
 
@@ -48,30 +59,60 @@ class OptimizerResult:
     per_start_values: tuple
 
 
-def _params_to_state(params: np.ndarray, dim: int) -> np.ndarray | None:
-    v = np.empty(dim, dtype=complex)
+def _params_to_vector(params: np.ndarray) -> np.ndarray:
+    v = np.empty((len(params) + 1) // 2, dtype=complex)
     v[0] = params[0]
     v[1:] = params[1::2] + 1j * params[2::2]
+    return v
+
+
+def _params_to_state(params: np.ndarray) -> np.ndarray | None:
+    v = _params_to_vector(params)
     norm = np.linalg.norm(v)
     if norm < _NORM_FLOOR:
         return None
     return v / norm
 
 
-def minimize_over_pure_states(objective, dim: int, config: OptimizerConfig) -> OptimizerResult:
+def _param_gradient(params: np.ndarray, gradient) -> np.ndarray:
+    """Gradient of F(v / |v|) in the 2d-1 reals, given ``gradient(psi) = dF/dpsi-bar``.
+
+    With psi = v / |v|, dF = (2 / |v|) Re <g - psi <psi|g>, dv>: the radial
+    and phase directions are projected out, then the real and imaginary parts
+    of the remaining vector are the derivatives along the real parameters.
+    """
+    out = np.zeros(len(params))
+    v = _params_to_vector(params)
+    norm = np.linalg.norm(v)
+    if norm < _NORM_FLOOR:
+        return out
+    state = v / norm
+    g = gradient(state)
+    g = (2.0 / norm) * (g - state * np.vdot(state, g))
+    out[0] = g[0].real
+    out[1::2] = g[1:].real
+    out[2::2] = g[1:].imag
+    return out
+
+
+def minimize_over_pure_states(
+    objective, dim: int, config: OptimizerConfig, gradient=None,
+) -> OptimizerResult:
     """Multi-start minimization of ``objective`` over unit vectors in C^dim.
 
+    ``gradient(state)``, if given, returns dF/dpsi-bar (the Wirtinger
+    gradient) at a unit vector; without it L-BFGS-B uses finite differences.
     Start k draws its initial point from a generator seeded with
     ``config.seed + k``, so the result depends only on the config. The
     reported value is the minimum over starts; the reported minimizer is the
-    lowest-indexed start within ``value_tolerance`` of it. Raises
-    ``OptimizerFailure`` if the objective goes non-finite or no start
-    converges.
+    lowest-indexed start within ``value_tolerance`` of it. A start counts as
+    converged when L-BFGS-B does. Raises ``OptimizerFailure`` if the
+    objective goes non-finite or no start converges.
     """
     n_params = 2 * dim - 1
 
     def wrapped(params):
-        state = _params_to_state(params, dim)
+        state = _params_to_state(params)
         if state is None:
             return _PENALTY
         value = objective(state)
@@ -79,26 +120,23 @@ def minimize_over_pure_states(objective, dim: int, config: OptimizerConfig) -> O
             raise OptimizerFailure("objective returned a non-finite value")
         return value
 
+    jac = None if gradient is None else partial(_param_gradient, gradient=gradient)
     values = []
     states = []
     converged = 0
     for k in range(config.starts):
         rng = np.random.default_rng(config.seed + k)
         x0 = rng.standard_normal(n_params)
+        sweep = _scipy_minimize(wrapped, x0, method="Powell",
+                                options={"xtol": _SWEEP_XTOL, "maxiter": 1})
         res = _scipy_minimize(
-            wrapped,
-            x0,
-            method="Powell",
-            options={
-                "xtol": config.step_tolerance,
-                "ftol": config.value_tolerance,
-                "maxiter": config.max_iterations,
-            },
+            wrapped, np.atleast_1d(sweep.x), method="L-BFGS-B", jac=jac,
+            options={"gtol": _GTOL, "ftol": _FTOL, "maxiter": config.max_iterations},
         )
         if res.success:
             converged += 1
         values.append(float(res.fun))
-        states.append(_params_to_state(np.atleast_1d(res.x), dim))
+        states.append(_params_to_state(res.x))
 
     if converged == 0:
         raise OptimizerFailure("no optimizer start converged")
@@ -119,12 +157,15 @@ def minimize_over_pure_states(objective, dim: int, config: OptimizerConfig) -> O
     )
 
 
-def minimize_in_subspace(objective, basis, config: OptimizerConfig) -> OptimizerResult:
+def minimize_in_subspace(
+    objective, basis, config: OptimizerConfig, gradient=None,
+) -> OptimizerResult:
     """Minimize over unit vectors in the span of an orthonormal ``basis``.
 
     Coefficients in the basis are parameterized exactly like a full-space
     state, then mapped back, so a full-space basis reproduces
-    ``minimize_over_pure_states``.
+    ``minimize_over_pure_states``. ``gradient`` is the full-space dF/dpsi-bar;
+    the coefficient gradient is B^dagger g(B c).
     """
     vectors = [np.asarray(v, dtype=complex).ravel() for v in basis]
     if not vectors:
@@ -137,7 +178,15 @@ def minimize_in_subspace(objective, basis, config: OptimizerConfig) -> Optimizer
         return OptimizerResult(value=value, minimizer=vec, starts_converged=1,
                                per_start_values=(value,))
 
-    result = minimize_over_pure_states(lambda c: objective(basis @ c), k, config)
+    coefficient_gradient = None
+    if gradient is not None:
+        adjoint = basis.conj().T
+
+        def coefficient_gradient(c):
+            return adjoint @ gradient(basis @ c)
+
+    result = minimize_over_pure_states(lambda c: objective(basis @ c), k, config,
+                                       gradient=coefficient_gradient)
     return replace(result, minimizer=basis @ result.minimizer)
 
 
@@ -167,7 +216,10 @@ def _lambda_result(stacks, dim, config, base) -> OptimizerResult:
     def objective(state):
         return _quadratic_entropy(merged, state, ln_base)
 
-    return minimize_over_pure_states(objective, dim, config)
+    def gradient(state):
+        return _quadratic_entropy_gradient(merged, state, ln_base)
+
+    return minimize_over_pure_states(objective, dim, config, gradient=gradient)
 
 
 def lambda_d_numeric(

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from sequr import optimize
 from sequr.bounds import krishna_parthasarathy_bound, lambda_s_two
 from sequr.errors import OptimizerFailure
+from sequr.linalg import spectral_resolution
 from sequr.optimize import (
     OptimizerConfig,
+    OptimizerResult,
     lambda_d_numeric,
     lambda_s3_numeric,
     lambda_s_numeric,
@@ -14,7 +17,7 @@ from sequr.optimize import (
     minimize_over_pure_states,
 )
 from sequr.qubit import PAULI_X, PAULI_Z, spin_observable
-from sequr.states import random_observable
+from sequr.states import random_hermitian, random_observable
 
 CFG = OptimizerConfig(starts=8, seed=7)
 
@@ -215,3 +218,94 @@ class TestLambdaS3Numeric:
         b = tilted_spin(40)
         result = lambda_s3_numeric(sigma_z, b, b, OptimizerConfig(starts=12, seed=2))
         assert result.value == pytest.approx(0.722, abs=1e-3)
+
+
+def wirtinger_differences(f, psi, h=1e-6):
+    """Central-difference dF/dpsi-bar = (dF/dx + i dF/dy) / 2, component by component."""
+    grad = np.empty(len(psi), dtype=complex)
+    for j in range(len(psi)):
+        e = np.zeros(len(psi))
+        e[j] = h
+        dx = (f(psi + e) - f(psi - e)) / (2 * h)
+        dy = (f(psi + 1j * e) - f(psi - 1j * e)) / (2 * h)
+        grad[j] = 0.5 * (dx + 1j * dy)
+    return grad
+
+
+def parameter_differences(objective, params, h=1e-6):
+    """Central differences of ``objective`` composed with the driver's 2d-1 parameterization."""
+    grad = np.empty(len(params))
+    for j in range(len(params)):
+        e = np.zeros(len(params))
+        e[j] = h
+        grad[j] = (objective(optimize._params_to_state(params + e))
+                   - objective(optimize._params_to_state(params - e))) / (2 * h)
+    return grad
+
+
+def degenerate_observable(dim, rng):
+    """Observable with two eigenvalues of multiplicity dim/2 (the identity at dim 2)."""
+    q, _ = np.linalg.qr(random_hermitian(dim, rng))
+    values = np.repeat([0.0, 1.0], dim // 2) if dim > 2 else np.zeros(2)
+    return spectral_resolution(q @ np.diag(values) @ q.conj().T)
+
+
+def capture_searches(monkeypatch):
+    """Record (objective, gradient, dim) of each driver call and skip the search."""
+    calls = []
+
+    def spy(objective, dim, config, gradient=None):
+        calls.append((objective, gradient, dim))
+        state = np.eye(dim, dtype=complex)[0]
+        return OptimizerResult(value=0.0, minimizer=state, starts_converged=1,
+                               per_start_values=(0.0,))
+
+    monkeypatch.setattr(optimize, "minimize_over_pure_states", spy)
+    return calls
+
+
+class TestEntropyGradient:
+    """Every numeric bound hands the driver the exact gradient of its objective."""
+
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    @pytest.mark.parametrize("case", ["distinct-pair", "sequential-pair", "triple",
+                                      "degenerate-subspace"])
+    def test_against_central_differences(self, case, dim, monkeypatch):
+        rng = np.random.default_rng(100 * dim + len(case))
+        a, b, c = (random_observable(dim, rng) for _ in range(3))
+        calls = capture_searches(monkeypatch)
+        if case == "distinct-pair":
+            lambda_d_numeric(a, b, CFG)
+        elif case == "sequential-pair":
+            lambda_s_numeric(a, b, CFG)
+        elif case == "triple":
+            lambda_s3_numeric(a, b, c, CFG)
+        else:
+            lambda_s_two(degenerate_observable(dim, rng), b)
+        assert calls
+        for objective, gradient, n in calls:
+            assert gradient is not None
+            for _ in range(3):
+                psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                psi /= np.linalg.norm(psi)
+                expected = wirtinger_differences(objective, psi)
+                assert np.abs(gradient(psi) - expected).max() <= 1e-7
+
+                # off the unit sphere, so a wrong 2/|v| factor or a missing
+                # radial projection changes the result
+                params = 2.7 * rng.standard_normal(2 * n - 1)
+                expected = parameter_differences(objective, params)
+                actual = optimize._param_gradient(params, gradient)
+                assert np.abs(actual - expected).max() <= 1e-7
+
+
+class TestSingleStart:
+    @pytest.mark.parametrize("numeric", [lambda_d_numeric, lambda_s_numeric])
+    @pytest.mark.parametrize("second", ["z", "x"])
+    def test_never_raises(self, numeric, second, sigma_z, sigma_x):
+        # the optima sit where outcome probabilities vanish, so a tight
+        # gradient tolerance stalls in the line search at the noise floor
+        b = sigma_x if second == "x" else sigma_z
+        for seed in range(200):
+            result = numeric(sigma_z, b, OptimizerConfig(starts=1, seed=seed))
+            assert result.starts_converged == 1

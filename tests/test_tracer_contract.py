@@ -1,9 +1,13 @@
-"""The benchmark tracer still sees every ``verify`` property.
+"""The benchmark tracer still sees every ``verify`` property and every optimizer run.
 
 ``perfbench/tracer.py`` times a property by wrapping the public functions of
 ``sequr.verify`` that ``ALL_PROPERTIES`` holds. A property that became
-private, or moved to another module, would silently read 0 ms. The tracer
-rebinds functions across the package, so it runs in a separate interpreter.
+private, or moved to another module, would silently read 0 ms. It counts
+optimizer evaluations by replacing positional argument 0 of
+``minimize_over_pure_states`` with a counting ``objective(state)``, reads the
+config from position 2, and counts subspace searches from
+``minimize_in_subspace`` spans under ``bounds``. The tracer rebinds functions
+across the package, so it runs in a separate interpreter.
 """
 
 import json
@@ -11,6 +15,8 @@ import os
 import pathlib
 import subprocess
 import sys
+
+import numpy as np
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -29,12 +35,55 @@ print(json.dumps({"code": code, "property_ms": {
 """
 
 
-def test_tracer_times_every_verify_property():
+BOUNDS_SCRIPT = """
+import contextlib, io, json, sys
+from tracer import Tracer, layer_metrics
+import sequr.cli
+
+tracer = Tracer()
+tracer.install()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = sequr.cli.main(["bounds", sys.argv[1], "--order", "A", "B", "--starts", "4"])
+metrics = layer_metrics([tracer.spans])
+print(json.dumps({"code": code, **{key: metrics[key] for key in (
+    "optimize.runs", "optimize.evals", "bounds.subspace_searches",
+    "optimize.converged_ratio")}}))
+"""
+
+
+def run_traced(script, *args):
     path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
     env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, "-c", SCRIPT], cwd=ROOT, env=env,
+    proc = subprocess.run([sys.executable, "-c", script, *args], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300, check=True)
-    report = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_tracer_times_every_verify_property():
+    report = run_traced(SCRIPT)
     assert report["code"] == 0
     assert len(report["property_ms"]) == 15
     assert all(ms > 0 for ms in report["property_ms"].values()), report["property_ms"]
+
+
+def test_tracer_counts_optimizer_work(tmp_path):
+    # dim-4 pair whose first observable has two doubly degenerate eigenvalues,
+    # so lambda_s_two searches both eigenspaces
+    rng = np.random.default_rng(4)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    a = q @ np.diag([0.0, 0.0, 1.0, 1.0]) @ q.conj().T
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    b = (g + g.conj().T) / 2
+
+    def pairs(m):
+        return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+
+    scenario = tmp_path / "degenerate.json"
+    scenario.write_text(json.dumps({"dim": 4, "observables": {"A": pairs(a), "B": pairs(b)}}))
+    report = run_traced(BOUNDS_SCRIPT, str(scenario))
+    # exit 1 is a failed cross-check, which four starts may give; the run completed
+    assert report["code"] in (0, 1)
+    assert report["optimize.runs"] > 0
+    assert report["optimize.evals"] > 0
+    assert report["bounds.subspace_searches"] >= 1
+    assert report["optimize.converged_ratio"] > 0
