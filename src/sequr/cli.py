@@ -102,11 +102,16 @@ def _emit(args, payload: dict, csv_rows, table_lines, **header) -> None:
             print(line)
 
 
-def _common_flags(parser: argparse.ArgumentParser, seed_default: int) -> None:
+#: ``--seed`` help of the commands whose output no seed can change.
+_NO_EFFECT_SEED = "accepted and echoed in the output; has no effect on this command"
+
+
+def _common_flags(parser: argparse.ArgumentParser, seed_default: int,
+                  seed_help: str | None = None) -> None:
     parser.add_argument("--log-base", default="e",
                         help="entropy log base: 'e' (default) or a number > 1")
     parser.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    parser.add_argument("--seed", type=int, default=seed_default)
+    parser.add_argument("--seed", type=int, default=seed_default, help=seed_help)
     parser.add_argument("--quiet", action="store_true",
                         help="suppress echo/header lines in table output")
 
@@ -129,15 +134,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table1", help="reference grid of qubit bounds, 0..90 degrees")
     p.add_argument("--tolerance", type=float, default=5e-4,
                    help="match tolerance against the 3-decimal reference values "
-                        "(numeric-regime entries get an extra 1e-3)")
-    _common_flags(p, seed_default=0)
+                        "(middle-band entries get an extra 1e-3)")
+    _common_flags(p, seed_default=0, seed_help=_NO_EFFECT_SEED)
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("sweep", help="bound curves on an angle grid")
     p.add_argument("--theta-min", type=float, default=0.0)
     p.add_argument("--theta-max", type=float, default=180.0)
     p.add_argument("--steps", type=int, default=181)
-    _common_flags(p, seed_default=0)
+    _common_flags(p, seed_default=0, seed_help=_NO_EFFECT_SEED)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="run the randomized property suite")
@@ -266,12 +271,11 @@ def cmd_table1(args) -> int:
         raise ScenarioError("the reference table is defined for natural log only")
     if not 0.0 < args.tolerance < math.inf:
         raise ScenarioError("--tolerance must be positive and finite")
-    config = OptimizerConfig(starts=32, seed=args.seed)
-    rows = table1(config)
+    rows = table1()
 
     mismatches = []
     for point, ref in zip(rows, REFERENCE_TABLE):
-        tol = args.tolerance + (1e-3 if point.regime == "middle-numeric" else 0.0)
+        tol = args.tolerance + (1e-3 if point.regime == "middle-search" else 0.0)
         for name, want in zip(_CURVE_FIELDS, ref[1:]):
             got = getattr(point, name)
             if abs(got - want) > tol:
@@ -306,9 +310,8 @@ def cmd_sweep(args) -> int:
         raise ScenarioError("need 0 <= theta-min <= theta-max <= 180 and steps >= 1")
     if args.steps > MAX_SWEEP_STEPS:
         raise ScenarioError(f"--steps {args.steps} exceeds the limit of {MAX_SWEEP_STEPS}")
-    config = OptimizerConfig(starts=32, seed=args.seed)
     grid = np.linspace(args.theta_min, args.theta_max, args.steps)
-    points = [curve_point(math.radians(d), config, base) for d in grid]
+    points = [curve_point(math.radians(d), base) for d in grid]
     chain_ok = [p.chain_holds() for p in points]
 
     payload = {

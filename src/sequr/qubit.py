@@ -4,7 +4,12 @@ For A and B the spin components along unit vectors with n1 . n2 = cos(theta),
 all bounds depend only on theta, and their eigenvector overlaps are
 cos^2(theta/2) and sin^2(theta/2). The optimal distinct-ensemble bound has
 three regimes: closed forms below theta_star and above pi - theta_star, and a
-numeric middle band.
+middle band found by a search over one angle. Moving the Bloch vector out of
+the n1-n2 plane only raises the entropy sum, so the optimum is the minimum
+over phi of h(cos^2(phi/2)) + h(cos^2((theta - phi)/2)), with h the binary
+entropy and phi the angle of the Bloch vector from n1 (Sanchez-Ruiz, Phys.
+Lett. A 244, 189 (1998); Ghirardi, Marinatto & Romano, Phys. Lett. A 317, 32
+(2003)).
 """
 
 from __future__ import annotations
@@ -14,17 +19,19 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
+from scipy.special import entr
 
 from .entropy import _entropy
 from .linalg import Observable, spectral_resolution
-from .optimize import OptimizerConfig, lambda_d_numeric
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
-_MIDDLE_STARTS = 32
+#: Grid over one full period of the in-plane entropy sum, phi in [0, pi].
+_PHI_GRID = np.linspace(0.0, math.pi, 257)
+_PHI_STEP = _PHI_GRID[1]
 
 #: Slack allowed in each inequality of ``ThetaCurvePoint.chain_holds``.
 CHAIN_SLACK = 1e-6
@@ -77,22 +84,43 @@ def theta_star() -> float:
     )
 
 
-@lru_cache(maxsize=None)
-def _middle_value(theta: float, config: OptimizerConfig, base: float) -> float:
-    a = spin_observable((0.0, 0.0, 1.0))
-    b = spin_observable((math.sin(theta), 0.0, math.cos(theta)))
-    return lambda_d_numeric(a, b, config, base).value
+def _plane_entropy_sum(phi, theta: float):
+    """Entropy sum in nats of the two spin components for the in-plane Bloch angle ``phi``.
+
+    The outcome weights are cos^2 and sin^2 of phi/2 and of (theta - phi)/2,
+    each computed directly so that neither loses digits to ``1 - p``.
+    Vectorized over ``phi``; period pi in ``phi``.
+    """
+    half = 0.5 * np.stack([phi, theta - phi])
+    return (entr(np.cos(half) ** 2) + entr(np.sin(half) ** 2)).sum(axis=0)
 
 
-def sanchez_ruiz_theta(
-    theta: float, config: OptimizerConfig | None = None, base: float = math.e
-):
+def _middle_search(theta: float, base: float) -> float:
+    """Minimum of ``_plane_entropy_sum`` over phi: grid scan, then bounded Brent.
+
+    Brent searches the two grid cells around the grid minimum. The smaller of
+    its value and the grid minimum is returned, so the result is always the
+    entropy sum of an actual state.
+    """
+    values = _plane_entropy_sum(_PHI_GRID, theta)
+    best = int(np.argmin(values))
+    centre = _PHI_GRID[best]
+    refined = minimize_scalar(
+        lambda phi: float(_plane_entropy_sum(phi, theta)),
+        bounds=(centre - _PHI_STEP, centre + _PHI_STEP),
+        method="bounded", options={"xatol": 1e-12},
+    )
+    return min(float(refined.fun), float(values[best])) / math.log(base)
+
+
+def sanchez_ruiz_theta(theta: float, base: float = math.e):
     """Optimal distinct-ensemble bound for spin components theta apart.
 
     Returns ``(value, regime)`` with regime one of ``low`` (closed form,
     attained in eigenstates of sigma.(n1+n2)), ``high`` (closed form, attained
-    in eigenstates of sigma.(n1-n2)) or ``middle-numeric`` (multi-start
-    minimization, 32 starts by default, memoized per grid point).
+    in eigenstates of sigma.(n1-n2)) or ``middle-search`` (minimum over the
+    in-plane Bloch angle: a 257-point grid over one period, refined by
+    bounded Brent; computed afresh on every call).
     """
     if not 0.0 <= theta <= math.pi + 1e-12:
         raise ValueError("theta must lie in [0, pi]")
@@ -103,8 +131,7 @@ def sanchez_ruiz_theta(
         lo = lambda_s_theta(math.pi / 2.0 + theta / 2.0, base)
         hi = lambda_s_theta(math.pi / 2.0 - theta / 2.0, base)
         return lo + hi, "high"
-    config = config or OptimizerConfig(starts=_MIDDLE_STARTS, seed=0)
-    return _middle_value(theta, config, base), "middle-numeric"
+    return _middle_search(theta, base), "middle-search"
 
 
 @dataclass(frozen=True)
@@ -130,11 +157,9 @@ class ThetaCurvePoint:
         )
 
 
-def curve_point(
-    theta: float, config: OptimizerConfig | None = None, base: float = math.e
-) -> ThetaCurvePoint:
+def curve_point(theta: float, base: float = math.e) -> ThetaCurvePoint:
     """Evaluate all four bounds at one angle."""
-    value, regime = sanchez_ruiz_theta(theta, config, base)
+    value, regime = sanchez_ruiz_theta(theta, base)
     return ThetaCurvePoint(
         theta=theta,
         lambda_s=lambda_s_theta(theta, base),
@@ -145,6 +170,6 @@ def curve_point(
     )
 
 
-def table1(config: OptimizerConfig | None = None, base: float = math.e) -> list:
+def table1(base: float = math.e) -> list:
     """Bound curves at 0, 10, ..., 90 degrees."""
-    return [curve_point(math.radians(d), config, base) for d in range(0, 100, 10)]
+    return [curve_point(math.radians(d), base) for d in range(0, 100, 10)]

@@ -70,7 +70,7 @@ def test_acceptance_01_table_reproduction():
     rows = table1()
     for point, ref in zip(rows, REFERENCE_TABLE):
         computed = (point.lambda_s, point.lambda_d, point.lambda_d2, point.lambda_d1)
-        tol = 1e-3 if point.regime == "middle-numeric" else 5e-4
+        tol = 1e-3 if point.regime == "middle-search" else 5e-4
         for name, got, want in zip(("lambda_s", "lambda_d", "lambda_d2", "lambda_d1"),
                                    computed, ref[1:]):
             assert abs(got - want) <= tol, f"{name} at {ref[0]} deg: {got} vs {want}"

@@ -3,12 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from sequr import qubit
 from sequr.bounds import lambda_s_two
 from sequr.entropy import entropy_distinct
-from sequr.optimize import OptimizerConfig
+from sequr.optimize import OptimizerConfig, lambda_d_numeric
 from sequr.qubit import (
+    _PHI_GRID,
+    _PHI_STEP,
     PAULI_X,
     PAULI_Z,
+    _middle_search,
+    _plane_entropy_sum,
     _theta_star_lhs,
     curve_point,
     deutsch_theta,
@@ -112,7 +117,7 @@ class TestSanchezRuiz:
 
     def test_middle_regime_value(self):
         value, regime = sanchez_ruiz_theta(math.pi / 2)
-        assert regime == "middle-numeric"
+        assert regime == "middle-search"
         assert value == pytest.approx(math.log(2), abs=1e-4)
 
     def test_high_regime_value(self):
@@ -167,7 +172,7 @@ class TestTable:
     def test_regime_dispatch_uses_computed_boundary(self):
         rows = table1()
         for p in rows:
-            expected = ("low" if p.theta <= theta_star() else "middle-numeric")
+            expected = ("low" if p.theta <= theta_star() else "middle-search")
             assert p.regime == expected
 
 
@@ -184,8 +189,75 @@ def test_strict_gap_between_sequential_and_distinct_optimum():
         assert gap > 0.003
 
 
-def test_middle_regime_custom_config_is_deterministic():
-    cfg = OptimizerConfig(starts=8, seed=5)
-    first, _ = sanchez_ruiz_theta(math.radians(75), cfg)
-    second, _ = sanchez_ruiz_theta(math.radians(75), cfg)
-    assert first == second
+def test_middle_regime_is_recomputed_not_memoized(monkeypatch):
+    calls = []
+
+    def counted(phi, theta):
+        calls.append(theta)
+        return _plane_entropy_sum(phi, theta)
+
+    monkeypatch.setattr(qubit, "_plane_entropy_sum", counted)
+    first, _ = sanchez_ruiz_theta(math.radians(75))
+    after_first = len(calls)
+    second, _ = sanchez_ruiz_theta(math.radians(75))
+    assert after_first > 0
+    assert len(calls) > after_first
+    assert repr(first) == repr(second)
+
+
+def _tilted_pair(theta):
+    return (spin_observable((0.0, 0.0, 1.0)),
+            spin_observable((math.sin(theta), 0.0, math.cos(theta))))
+
+
+#: Bounds |d/dx h(cos^2(x/2))| = |sin x ln tan(x/2)|, so 2 G bounds the slope
+#: of the two-term entropy sum in phi.
+SLOPE_BOUND = 0.6628
+
+
+class TestMiddleSearch:
+    def test_matches_multistart(self):
+        for deg in range(70, 111, 5):
+            theta = math.radians(deg)
+            value, regime = sanchez_ruiz_theta(theta)
+            assert regime == "middle-search"
+            numeric = lambda_d_numeric(*_tilted_pair(theta),
+                                       OptimizerConfig(starts=32, seed=0)).value
+            assert abs(value - numeric) <= 1e-9, deg
+            assert value <= numeric + 1e-12, deg
+
+    def test_slope_bound(self):
+        # dense near both ends, where ln tan(x/2) diverges and sin x vanishes
+        x = np.concatenate([np.geomspace(1e-300, 1e-2, 20_000),
+                            np.linspace(1e-2, math.pi - 1e-2, 200_001),
+                            math.pi - np.geomspace(1e-16, 1e-2, 20_000)])
+        slope = np.abs(np.sin(x) * np.log(np.tan(x / 2)))
+        assert np.all(np.isfinite(slope))
+        assert slope.max() <= SLOPE_BOUND
+        assert slope.max() >= 0.6627
+
+    def test_grid_certificate_below_every_start(self):
+        # any phi lies within half a grid step of a grid point, so the grid
+        # minimum minus that much slope is a lower bound on every state
+        for theta in np.linspace(theta_star(), math.pi - theta_star(), 43)[1:-1]:
+            floor = (_plane_entropy_sum(_PHI_GRID, theta).min()
+                     - 2.0 * SLOPE_BOUND * _PHI_STEP / 2.0)
+            result = lambda_d_numeric(*_tilted_pair(theta),
+                                      OptimizerConfig(starts=16, seed=1))
+            assert floor <= min(result.per_start_values), math.degrees(theta)
+            assert floor <= sanchez_ruiz_theta(theta)[0]
+
+    def test_agrees_with_closed_forms_at_boundaries(self):
+        boundary = theta_star()
+        low, regime = sanchez_ruiz_theta(boundary)
+        assert regime == "low"
+        assert abs(_middle_search(boundary, math.e) - low) <= 1e-12
+        high, regime = sanchez_ruiz_theta(math.pi - boundary)
+        assert regime == "high"
+        assert abs(_middle_search(math.pi - boundary, math.e) - high) <= 1e-12
+
+    def test_log_base_divides(self):
+        theta = math.radians(80)
+        nats = sanchez_ruiz_theta(theta)[0]
+        assert sanchez_ruiz_theta(theta, 2.0)[0] == pytest.approx(nats / math.log(2),
+                                                                   abs=1e-15)

@@ -6,8 +6,10 @@ private, or moved to another module, would silently read 0 ms. It counts
 optimizer evaluations by replacing positional argument 0 of
 ``minimize_over_pure_states`` with a counting ``objective(state)``, reads the
 config from position 2, and counts subspace searches from
-``minimize_in_subspace`` spans under ``bounds``. The tracer rebinds functions
-across the package, so it runs in a separate interpreter.
+``minimize_in_subspace`` spans under ``bounds``. ``table1`` and ``sweep``
+compute the qubit middle band with a one-angle search, so they start no
+optimizer run and leave no memo to hit. The tracer rebinds functions across
+the package, so it runs in a separate interpreter.
 """
 
 import json
@@ -17,6 +19,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -48,6 +51,26 @@ metrics = layer_metrics([tracer.spans])
 print(json.dumps({"code": code, **{key: metrics[key] for key in (
     "optimize.runs", "optimize.evals", "bounds.subspace_searches",
     "optimize.converged_ratio")}}))
+"""
+
+
+QUBIT_SCRIPT = """
+import contextlib, io, json, sys
+from tracer import Tracer, layer_metrics
+import sequr.cli
+
+tracer = Tracer()
+tracer.install()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = sequr.cli.main(sys.argv[1:])
+metrics = layer_metrics([tracer.spans])
+print(json.dumps({
+    "code": code,
+    "optimize_spans": sum(s[0].startswith("optimize.") for s in tracer.spans),
+    "middle_band": sum(s[0] == "qubit.sanchez_ruiz_theta"
+                       and s[5]["regime"] == "middle-search" for s in tracer.spans),
+    "memo_hits": metrics["qubit.memo_hits"],
+}))
 """
 
 
@@ -87,3 +110,15 @@ def test_tracer_counts_optimizer_work(tmp_path):
     assert report["optimize.evals"] > 0
     assert report["bounds.subspace_searches"] >= 1
     assert report["optimize.converged_ratio"] > 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["table1"],
+    ["sweep", "--theta-min", "70", "--theta-max", "110", "--steps", "5"],
+])
+def test_qubit_commands_start_no_optimizer(argv):
+    report = run_traced(QUBIT_SCRIPT, *argv)
+    assert report["code"] == 0
+    assert report["middle_band"] > 0
+    assert report["optimize_spans"] == 0
+    assert report["memo_hits"] == 0
