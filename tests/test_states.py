@@ -1,14 +1,21 @@
+import tracemalloc
+from itertools import product
+
 import numpy as np
 import pytest
 
+from sequr import states
 from sequr.errors import DimensionMismatch
+from sequr.linalg import spectral_resolution
 from sequr.states import (
     MAX_TABLE_CELLS,
     JointDistribution,
     check_density,
     interference_gap,
     luders_map,
+    outcome_probabilities,
     pure_density,
+    random_hermitian,
     random_observable,
     random_state,
     sample_sequence,
@@ -220,3 +227,151 @@ def test_luders_idempotent_and_commuting():
         assert np.abs(twice - once).max() <= 1e-12
         for p in a.projectors:
             assert np.abs(once @ p - p @ once).max() <= 1e-10
+
+
+def _reference_joint(rho, *observables):
+    """Per-tuple nested conjugation with full projectors: the definitional table."""
+    shape = tuple(obs.n_outcomes for obs in observables)
+    table = np.empty(shape)
+    for idx in product(*(range(n) for n in shape)):
+        state = np.asarray(rho, dtype=complex)
+        for obs, i in zip(observables, idx):
+            p = obs.projectors[i]
+            state = p @ state @ p
+        table[idx] = np.trace(state).real
+    return table
+
+
+def _reference_sampler(rho, chain, n, seed):
+    """Depth-first collapse-chain sampler on full projectors."""
+    chain = list(chain)
+    rng = np.random.default_rng(seed)
+    counts = np.zeros(tuple(obs.n_outcomes for obs in chain), dtype=np.int64)
+
+    def descend(state, weight_count, depth, idx):
+        if depth == len(chain):
+            counts[idx] = weight_count
+            return
+        obs = chain[depth]
+        probs = outcome_probabilities(state, obs)
+        split = rng.multinomial(weight_count, probs / probs.sum())
+        for i, c in enumerate(split):
+            if c == 0:
+                continue
+            p = obs.projectors[i]
+            collapsed = p @ state @ p
+            descend(collapsed / np.trace(collapsed).real, c, depth + 1, idx + (i,))
+
+    descend(np.asarray(rho, dtype=complex), n, 0, ())
+    return counts
+
+
+def _degenerate_observable(dim, seed):
+    """Random eigenbasis with multiplicities (3, 2, 2, ..., 1 or 2); one outcome below dim 4."""
+    q, _ = np.linalg.qr(random_hermitian(dim, np.random.default_rng(seed)))
+    values = np.maximum(np.arange(dim) - 1, 0) // 2
+    return spectral_resolution(q @ np.diag(values).astype(complex) @ q.conj().T)
+
+
+def _mixed_state(dim, seed):
+    weights = np.random.default_rng(seed).dirichlet(np.ones(3))
+    return sum(w * random_state(dim, seed=10 * seed + k) for k, w in enumerate(weights))
+
+
+def _chain_cases():
+    """(dim, chain length, degenerate positions), reference table <= 4,096 cells.
+
+    Every position of every chain is degenerate once; the dim-16 4-chain is
+    degenerate throughout, which keeps its reference loop at 8^4 tuples.
+    """
+    for dim in (2, 3, 5, 8, 16):
+        for length in range(1, 5):
+            if dim**length <= 4096:
+                for degenerate in ((), *((k,) for k in range(length))):
+                    yield dim, length, degenerate
+    yield 16, 4, (0, 1, 2, 3)
+
+
+class TestChainKernel:
+    @pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixed"])
+    def test_matches_nested_conjugation(self, mixed):
+        for case, (dim, length, degenerate) in enumerate(_chain_cases()):
+            rho = _mixed_state(dim, case) if mixed else random_state(dim, seed=case)
+            chain = [_degenerate_observable(dim, 100 * case + k) if k in degenerate
+                     else random_observable(dim, seed=100 * case + k) for k in range(length)]
+            got = wigner_joint(rho, *chain).table
+            expected = _reference_joint(rho, *chain)
+            assert np.abs(got - expected).max() <= 1e-14, (dim, length, degenerate)
+
+    def test_covers_degenerate_multiplicities(self):
+        assert _degenerate_observable(2, 0).multiplicities == (2,)
+        assert _degenerate_observable(5, 0).multiplicities == (3, 2)
+        assert _degenerate_observable(16, 0).multiplicities == (3, 2, 2, 2, 2, 2, 2, 1)
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16])
+    def test_single_observable_is_outcome_distribution(self, dim):
+        rho = _mixed_state(dim, dim)
+        for obs in (random_observable(dim, seed=dim), _degenerate_observable(dim, dim)):
+            got = wigner_joint(rho, obs).table
+            assert np.abs(got - outcome_probabilities(rho, obs)).max() <= 1e-14
+
+    def test_peak_memory_dim16_four_chain(self):
+        rho = _mixed_state(16, 3)
+        chain = [random_observable(16, seed=40 + k) for k in range(4)]
+        tracemalloc.start()
+        try:
+            joint = wigner_joint(rho, *chain)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert joint.table.nbytes == 2**19
+        assert peak <= 8 * 2**20
+
+    def test_full_cap_chain_builds(self):
+        rho = random_state(16, seed=7)
+        chain = [random_observable(16, seed=50 + k) for k in range(5)]
+        tracemalloc.start()
+        try:
+            joint = wigner_joint(rho, *chain)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert joint.table.size == MAX_TABLE_CELLS
+        assert joint.table.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(joint.table.sum(axis=4), wigner_joint(rho, *chain[:4]).table,
+                           rtol=0, atol=1e-15)
+        assert peak <= 128 * 2**20
+
+    def test_oversized_chain_refused_before_allocation(self):
+        rho = random_state(16, seed=7)
+        chain = [random_observable(16, seed=50 + k) for k in range(6)]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceeds the limit"):
+                wigner_joint(rho, *chain)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
+
+
+class TestSamplerKernel:
+    def _cases(self):
+        mid = _degenerate_observable(6, 1)
+        assert not mid.is_nondegenerate
+        yield _mixed_state(6, 2), [random_observable(6, seed=3), mid, random_observable(6, seed=4)]
+        yield random_state(4, seed=5), [random_observable(4, seed=6 + k) for k in range(4)]
+
+    @pytest.mark.parametrize("seed", [0, 1, 17, 123])
+    def test_counts_equal_collapse_on_projectors(self, seed):
+        for rho, chain in self._cases():
+            got = sample_sequence(rho, chain, n=10**6, seed=seed)
+            assert np.array_equal(got, _reference_sampler(rho, chain, 10**6, seed))
+
+    def test_never_reads_the_table(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sampler read the analytic table")
+
+        monkeypatch.setattr(states, "wigner_joint", refuse)
+        for rho, chain in self._cases():
+            assert sample_sequence(rho, chain, n=1000, seed=2).sum() == 1000
