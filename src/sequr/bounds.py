@@ -5,7 +5,7 @@ prepared ensembles (Deutsch, Partovi, Maassen-Uffink, Krishna-Parthasarathy),
 and the optimal bounds for observables measured sequentially on the same
 ensemble, which reduce to minimizing the later measurements' entropies over
 eigenstates of the first observable. Measurement order matters: none of the
-sequential bounds are symmetrized.
+sequential bounds are symmetrized. Every bound is in nats.
 """
 
 from __future__ import annotations
@@ -43,33 +43,33 @@ def squared_overlaps(a: Observable, b: Observable) -> np.ndarray:
     return np.abs(a.eigenbasis().conj().T @ b.eigenbasis()) ** 2
 
 
-def deutsch_bound(a: Observable, b: Observable, base: float = math.e) -> float:
+def deutsch_bound(a: Observable, b: Observable) -> float:
     """2 log[2 / (1 + max overlap)]; zero only when the observables share an eigenvector."""
     top = math.sqrt(squared_overlaps(a, b).max())
-    return 2.0 * math.log(2.0 / (1.0 + top)) / math.log(base)
+    return 2.0 * math.log(2.0 / (1.0 + top))
 
 
-def partovi_bound(a: Observable, b: Observable, base: float = math.e) -> float:
+def partovi_bound(a: Observable, b: Observable) -> float:
     """2 log[2 / max ||P_A(a_i) + P_B(b_j)||]; degeneracy-safe form of the Deutsch bound."""
     a.require_same_dim(b)
     top = max(
         operator_norm(pa + pb) for pa in a.projectors for pb in b.projectors
     )
-    return 2.0 * math.log(2.0 / top) / math.log(base)
+    return 2.0 * math.log(2.0 / top)
 
 
-def maassen_uffink_bound(a: Observable, b: Observable, base: float = math.e) -> float:
+def maassen_uffink_bound(a: Observable, b: Observable) -> float:
     """log[1 / max |<a_i|b_j>|^2]; equals log(n) for complementary observables."""
-    return -math.log(squared_overlaps(a, b).max()) / math.log(base) + 0.0
+    return -math.log(squared_overlaps(a, b).max()) + 0.0
 
 
-def krishna_parthasarathy_bound(a: Observable, b: Observable, base: float = math.e) -> float:
+def krishna_parthasarathy_bound(a: Observable, b: Observable) -> float:
     """log[1 / max ||P_A(a_i) P_B(b_j)||^2]; degeneracy-safe and never below Partovi."""
     a.require_same_dim(b)
     top = max(
         operator_norm(pa @ pb) for pa in a.projectors for pb in b.projectors
     )
-    return -2.0 * math.log(top) / math.log(base) + 0.0
+    return -2.0 * math.log(top) + 0.0
 
 
 def is_complementary(a: Observable, b: Observable, tol: float = 1e-9) -> bool:
@@ -78,10 +78,7 @@ def is_complementary(a: Observable, b: Observable, tol: float = 1e-9) -> bool:
     return bool(np.abs(u - 1.0 / a.dim).max() <= tol)
 
 
-def lambda_s_two(
-    a: Observable, b: Observable, base: float = math.e,
-    config: OptimizerConfig | None = None,
-) -> float:
+def lambda_s_two(a: Observable, b: Observable, config: OptimizerConfig | None = None) -> float:
     """Optimal bound on the entropy sum when ``a`` is measured before ``b``.
 
     Equals the smallest entropy the ``b``-distribution can have in an
@@ -91,19 +88,18 @@ def lambda_s_two(
     dimension). Order-dependent: swapping the arguments changes the value.
     """
     a.require_same_dim(b)
-    ln_base = math.log(base)
     candidates = []
     for basis in a.eigenvectors:
         if basis.shape[1] == 1:
-            candidates.append(_quadratic_entropy(b.projectors, basis[:, 0], ln_base))
+            candidates.append(_quadratic_entropy(b.projectors, basis[:, 0]))
         else:
             cfg = replace(config or OptimizerConfig(seed=0),
                           starts=_SUBSPACE_STARTS * basis.shape[1])
             res = minimize_in_subspace(
-                lambda psi: _quadratic_entropy(b.projectors, psi, ln_base),
+                lambda psi: _quadratic_entropy(b.projectors, psi),
                 [basis[:, k] for k in range(basis.shape[1])],
                 cfg,
-                gradient=lambda psi: _quadratic_entropy_gradient(b.projectors, psi, ln_base),
+                gradient=lambda psi: _quadratic_entropy_gradient(b.projectors, psi),
             )
             candidates.append(res.value)
     return min(candidates)
@@ -126,9 +122,7 @@ class TripleBound:
     second_stage: float
 
 
-def lambda_s_three(
-    a: Observable, b: Observable, c: Observable, base: float = math.e
-) -> TripleBound:
+def lambda_s_three(a: Observable, b: Observable, c: Observable) -> TripleBound:
     """Optimal bound data for the sequence ``a``, ``b``, ``c`` (nondegenerate spectra).
 
     The first-stage term is the two-observable bound for (``a``, ``b``); the
@@ -138,13 +132,12 @@ def lambda_s_three(
     a.require_same_dim(b)
     a.require_same_dim(c)
     _require_nondegenerate(a, b, c)
-    ln_base = math.log(base)
 
     u = squared_overlaps(a, b)
     v = squared_overlaps(b, c)
     w = u @ v  # row i: distribution of the third outcome from eigenstate i
-    first = np.array([_entropy(row, ln_base) for row in u])
-    second = np.array([_entropy(row, ln_base) for row in w])
+    first = np.array([_entropy(row) for row in u])
+    second = np.array([_entropy(row) for row in w])
     return TripleBound(
         stagewise=float(first.min() + second.min()),
         common_state=float((first + second).min()),
@@ -168,15 +161,14 @@ class BoundReport:
 
 
 def bound_report(
-    a: Observable, b: Observable, base: float = math.e,
-    config: OptimizerConfig | None = None,
+    a: Observable, b: Observable, config: OptimizerConfig | None = None
 ) -> BoundReport:
     """Evaluate every analytic bound for the ordered pair (``a``, ``b``)."""
     nondegenerate = a.is_nondegenerate and b.is_nondegenerate
     return BoundReport(
-        deutsch=deutsch_bound(a, b, base) if nondegenerate else None,
-        partovi=partovi_bound(a, b, base),
-        maassen_uffink=maassen_uffink_bound(a, b, base) if nondegenerate else None,
-        krishna_parthasarathy=krishna_parthasarathy_bound(a, b, base),
-        lambda_s=lambda_s_two(a, b, base, config),
+        deutsch=deutsch_bound(a, b) if nondegenerate else None,
+        partovi=partovi_bound(a, b),
+        maassen_uffink=maassen_uffink_bound(a, b) if nondegenerate else None,
+        krishna_parthasarathy=krishna_parthasarathy_bound(a, b),
+        lambda_s=lambda_s_two(a, b, config),
     )

@@ -4,8 +4,9 @@ Subcommands: ``bounds`` (all bounds for a scenario file), ``table1`` (the
 reference grid of qubit bound values at 10 degree steps), ``sweep`` (bound
 curves on an angle grid), ``verify`` (randomized property suite) and
 ``simulate`` (seeded Monte Carlo cross-check of the sequential
-probabilities). Exit codes: 0 success, 1 verification mismatch, 2 bad input,
-3 dimension mismatch, 4 optimizer failure.
+probabilities). Values are computed and checked in nats, then divided by the
+natural log of ``--log-base`` for output. Exit codes: 0 success, 1 verification
+mismatch, 2 bad input, 3 dimension mismatch, 4 optimizer failure.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -162,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_bounds(args) -> int:
-    base = _parse_log_base(args.log_base)
+    ln_base = math.log(_parse_log_base(args.log_base))
     if len(args.order) not in (2, 3):
         raise ScenarioError("--order needs exactly 2 or 3 observable names")
     if args.starts < 1:
@@ -174,9 +176,9 @@ def cmd_bounds(args) -> int:
     started = time.perf_counter()
     if len(observables) == 2:
         a, b = observables
-        report = bound_report(a, b, base, config)
-        numeric_d = lambda_d_numeric(a, b, config, base)
-        numeric_s = lambda_s_numeric(a, b, config, base)
+        report = bound_report(a, b, config)
+        numeric_d = lambda_d_numeric(a, b, config)
+        numeric_s = lambda_s_numeric(a, b, config)
         values = {
             "deutsch": report.deutsch,
             "partovi": report.partovi,
@@ -205,8 +207,8 @@ def cmd_bounds(args) -> int:
             )
     else:
         a, b, c = observables
-        triple = lambda_s_three(a, b, c, base)
-        numeric = lambda_s3_numeric(a, b, c, config, base)
+        triple = lambda_s_three(a, b, c)
+        numeric = lambda_s3_numeric(a, b, c, config)
         values = {
             "lambda_s3_stagewise": triple.stagewise,
             "lambda_s3_common_state": triple.common_state,
@@ -220,6 +222,7 @@ def cmd_bounds(args) -> int:
                 abs(numeric.value - triple.common_state) <= 1e-3,
         }
     elapsed = time.perf_counter() - started
+    values = {k: (None if v is None else v / ln_base) for k, v in values.items()}
 
     payload = {
         "command": "bounds",
@@ -265,6 +268,11 @@ def _curve_csv(point) -> tuple:
     return tuple(_fmt(getattr(point, name)) for name in _CURVE_FIELDS)
 
 
+def _curve_in_base(point, ln_base: float):
+    """``point`` with its bound curves divided by ``ln_base``, for output."""
+    return replace(point, **{name: getattr(point, name) / ln_base for name in _CURVE_FIELDS})
+
+
 def cmd_table1(args) -> int:
     base = _parse_log_base(args.log_base)
     if abs(base - math.e) > 1e-12:
@@ -305,14 +313,15 @@ def cmd_table1(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    base = _parse_log_base(args.log_base)
+    ln_base = math.log(_parse_log_base(args.log_base))
     if args.steps < 1 or not 0 <= args.theta_min <= args.theta_max <= 180:
         raise ScenarioError("need 0 <= theta-min <= theta-max <= 180 and steps >= 1")
     if args.steps > MAX_SWEEP_STEPS:
         raise ScenarioError(f"--steps {args.steps} exceeds the limit of {MAX_SWEEP_STEPS}")
     grid = np.linspace(args.theta_min, args.theta_max, args.steps)
-    points = [curve_point(math.radians(d), base) for d in grid]
+    points = [curve_point(math.radians(d)) for d in grid]
     chain_ok = [p.chain_holds() for p in points]
+    points = [_curve_in_base(p, ln_base) for p in points]
 
     payload = {
         "command": "sweep",
@@ -389,7 +398,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    base = _parse_log_base(args.log_base)
+    ln_base = math.log(_parse_log_base(args.log_base))
     if args.samples < 1:
         raise ScenarioError("--samples must be >= 1")
     scenario = load_scenario(args.file)
@@ -401,17 +410,16 @@ def cmd_simulate(args) -> int:
     counts = sample_sequence(rho, chain, args.samples, args.seed)
     joint = wigner_joint(rho, *chain)
     freqs = counts / args.samples
-    ln_base = math.log(base)
 
     entropies = []
     for axis, name in enumerate(args.order):
         analytic_p = joint.marginal(axis)
         empirical_p = freqs.sum(axis=tuple(k for k in range(freqs.ndim) if k != axis))
-        s_nats = _entropy(empirical_p, 1.0)
+        s_nats = _entropy(empirical_p)
         nz = empirical_p[empirical_p > 0]
         var_nats = float((nz * np.log(nz) ** 2).sum() - s_nats**2)
         stderr = math.sqrt(max(var_nats, 0.0) / args.samples) / ln_base
-        entropies.append((name, analytic_p, empirical_p, shannon_entropy(analytic_p, base),
+        entropies.append((name, analytic_p, empirical_p, shannon_entropy(analytic_p) / ln_base,
                           s_nats / ln_base, stderr))
 
     gap = None

@@ -1,29 +1,27 @@
 """Shannon entropies of measurement outcome distributions, plus the variance relations.
 
-Entropies default to natural log; every public function takes a ``base``
-argument (use 2 for bits). The ``0 log 0 = 0`` convention is implemented by
+Every entropy is in nats. The ``0 log 0 = 0`` convention is implemented by
 dropping weights at or below ``WEIGHT_FLOOR``, which is the same thing at
-machine precision. Every entropy in the package goes through ``_entropy``.
+machine precision. Every entropy of a probability vector goes through
+``_entropy``; only ``qubit._plane_entropy_sum`` uses ``scipy.special.entr``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import Observable
-from .states import _clip_probabilities, luders_map, outcome_probabilities, wigner_joint
+from .states import (TOTAL_TOL, _clip_probabilities, luders_map, outcome_probabilities,
+                     wigner_joint)
 
 #: Weights below this contribute nothing to an entropy sum.
 WEIGHT_FLOOR = 1e-15
 
-DISTRIBUTION_TOL = 1e-9
 
-
-def _entropy(p: np.ndarray, ln_base: float) -> float:
-    """Entropy -sum p_i log p_i of nonnegative weights, divided by ``ln_base = log(base)``.
+def _entropy(p: np.ndarray) -> float:
+    """Entropy -sum p_i log p_i of nonnegative weights.
 
     Kept private so that tracing public functions adds nothing to the
     optimizer objectives, which call it on every evaluation. A weight that
@@ -31,19 +29,16 @@ def _entropy(p: np.ndarray, ln_base: float) -> float:
     first argument on a tie, so the result is never negative and never ``-0.0``.
     """
     p = p[p > WEIGHT_FLOOR]
-    return max(0.0, float(-(p * np.log(p)).sum() / ln_base))
+    return max(0.0, float(-(p * np.log(p)).sum()))
 
 
-def _quadratic_entropy(stack: np.ndarray, state: np.ndarray, ln_base: float) -> float:
+def _quadratic_entropy(stack: np.ndarray, state: np.ndarray) -> float:
     """Entropy of the distribution <psi|M_k|psi> for a stack of operators M_k."""
-    return _entropy(
-        _clip_probabilities(np.einsum("kij,i,j->k", stack, state.conj(), state).real),
-        ln_base,
-    )
+    return _entropy(_clip_probabilities(np.einsum("kij,i,j->k", stack, state.conj(), state).real))
 
 
-def _quadratic_entropy_gradient(stack: np.ndarray, state: np.ndarray, ln_base: float) -> np.ndarray:
-    """Wirtinger gradient dS/dpsi-bar = -sum_k (log p_k + 1) M_k psi / ln_base of ``_quadratic_entropy``.
+def _quadratic_entropy_gradient(stack: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """Wirtinger gradient dS/dpsi-bar = -sum_k (log p_k + 1) M_k psi of ``_quadratic_entropy``.
 
     Weights at or below ``WEIGHT_FLOOR`` get no log term, as the value drops
     them, so the singularity at p_k = 0 never enters. Their ``+ 1`` terms are
@@ -54,29 +49,26 @@ def _quadratic_entropy_gradient(stack: np.ndarray, state: np.ndarray, ln_base: f
     m_psi = stack @ state
     p = (state.conj() @ m_psi.T).real
     log_p = np.log(p, out=np.zeros_like(p), where=p > WEIGHT_FLOOR)
-    return -((log_p + 1.0) @ m_psi) / ln_base
+    return -((log_p + 1.0) @ m_psi)
 
 
-def shannon_entropy(weights, base: float = math.e) -> float:
+def shannon_entropy(weights) -> float:
     """Entropy -sum p_i log p_i of a discrete distribution.
 
     The result lies in [0, log n]. Raises ``ValueError`` if the weights are
-    not a probability distribution (within clipping tolerance) or the base is
-    not > 1.
+    not a probability distribution (within clipping tolerance).
     """
-    if base <= 1.0:
-        raise ValueError("log base must be > 1")
     p = _clip_probabilities(np.asarray(weights, dtype=float).ravel())
-    if p.max(initial=0.0) > 1.0 + DISTRIBUTION_TOL:
+    if p.max(initial=0.0) > 1.0 + TOTAL_TOL:
         raise ValueError("weights must lie in [0, 1]")
-    if abs(p.sum() - 1.0) > DISTRIBUTION_TOL:
+    if abs(p.sum() - 1.0) > TOTAL_TOL:
         raise ValueError(f"weights sum to {p.sum()!r}, not 1")
-    return _entropy(p, math.log(base))
+    return _entropy(p)
 
 
-def entropy_distinct(rho: np.ndarray, obs: Observable, base: float = math.e) -> float:
+def entropy_distinct(rho: np.ndarray, obs: Observable) -> float:
     """Entropic uncertainty of one observable measured on its own ensemble."""
-    return shannon_entropy(outcome_probabilities(rho, obs), base)
+    return shannon_entropy(outcome_probabilities(rho, obs))
 
 
 @dataclass(frozen=True)
@@ -89,29 +81,27 @@ class EntropyReport:
     s_c: float | None = None
 
 
-def entropies_sequential(
-    rho: np.ndarray, a: Observable, b: Observable, base: float = math.e
-) -> EntropyReport:
+def entropies_sequential(rho: np.ndarray, a: Observable, b: Observable) -> EntropyReport:
     """Entropies of the outcome distributions when ``a`` then ``b`` are measured.
 
     The first marginal entropy coincides with the distinct-measurement value;
     the second is the distinct-measurement entropy of ``b`` in the collapsed
     state. The joint entropy obeys sub-additivity and dominates both marginals.
     """
-    return _sequential_report(wigner_joint(rho, a, b), base)
+    return _sequential_report(wigner_joint(rho, a, b))
 
 
 def entropies_sequential_3(
-    rho: np.ndarray, a: Observable, b: Observable, c: Observable, base: float = math.e
+    rho: np.ndarray, a: Observable, b: Observable, c: Observable
 ) -> EntropyReport:
     """Entropies for the three-step sequence ``a``, ``b``, ``c``."""
-    return _sequential_report(wigner_joint(rho, a, b, c), base)
+    return _sequential_report(wigner_joint(rho, a, b, c))
 
 
-def _sequential_report(joint, base: float) -> EntropyReport:
-    s_a, s_b, *s_c = (shannon_entropy(p, base) for p in joint.marginals())
+def _sequential_report(joint) -> EntropyReport:
+    s_a, s_b, *s_c = (shannon_entropy(p) for p in joint.marginals())
     return EntropyReport(s_a=s_a, s_b=s_b, s_c=s_c[0] if s_c else None,
-                         s_joint=shannon_entropy(joint.table, base))
+                         s_joint=shannon_entropy(joint.table))
 
 
 @dataclass(frozen=True)

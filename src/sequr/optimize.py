@@ -7,12 +7,12 @@ parameterized by 2d-1 reals (first amplitude real, global phase fixed,
 normalization applied inside the objective). Each start runs one Powell
 sweep (a line search along every coordinate) from a seeded random point,
 which picks the basin, then L-BFGS-B from there to converge in it. Results
-are deterministic and independent of scheduling.
+are deterministic and independent of scheduling. Entropy objectives are in
+nats.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -35,18 +35,19 @@ _SWEEP_XTOL = 1e-6
 #: ``_GTOL`` ends the line search abnormally instead of converging.
 _GTOL = 1e-6
 _FTOL = 1e-12
+#: L-BFGS-B iteration cap of each start.
+_MAX_ITERATIONS = 2000
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     starts: int = 64
-    max_iterations: int = 2000
     value_tolerance: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
-        if self.starts < 1 or self.max_iterations < 1:
-            raise ValueError("starts and max_iterations must be >= 1")
+        if self.starts < 1:
+            raise ValueError("starts must be >= 1")
         if self.value_tolerance <= 0:
             raise ValueError("tolerances must be positive")
 
@@ -131,7 +132,7 @@ def minimize_over_pure_states(
                                 options={"xtol": _SWEEP_XTOL, "maxiter": 1})
         res = _scipy_minimize(
             wrapped, np.atleast_1d(sweep.x), method="L-BFGS-B", jac=jac,
-            options={"gtol": _GTOL, "ftol": _FTOL, "maxiter": config.max_iterations},
+            options={"gtol": _GTOL, "ftol": _FTOL, "maxiter": _MAX_ITERATIONS},
         )
         if res.success:
             converged += 1
@@ -207,47 +208,40 @@ def _sequential_stacks(chain) -> list:
     return stacks
 
 
-def _lambda_result(stacks, dim, config, base) -> OptimizerResult:
-    ln_base = math.log(base)
+def _lambda_result(stacks, dim, config) -> OptimizerResult:
     # each stack's expectations sum to 1, so the entropy of the concatenated
     # distribution equals the sum of the per-observable entropies
     merged = np.concatenate(stacks, axis=0)
 
     def objective(state):
-        return _quadratic_entropy(merged, state, ln_base)
+        return _quadratic_entropy(merged, state)
 
     def gradient(state):
-        return _quadratic_entropy_gradient(merged, state, ln_base)
+        return _quadratic_entropy_gradient(merged, state)
 
     return minimize_over_pure_states(objective, dim, config, gradient=gradient)
 
 
-def lambda_d_numeric(
-    a: Observable, b: Observable, config: OptimizerConfig | None = None,
-    base: float = math.e,
-) -> OptimizerResult:
+def lambda_d_numeric(a: Observable, b: Observable,
+                     config: OptimizerConfig | None = None) -> OptimizerResult:
     """Optimal distinct-measurement bound: infimum of S(A) + S(B) over states."""
     a.require_same_dim(b)
     config = config or OptimizerConfig()
-    return _lambda_result([a.projectors, b.projectors], a.dim, config, base)
+    return _lambda_result([a.projectors, b.projectors], a.dim, config)
 
 
-def lambda_s_numeric(
-    a: Observable, b: Observable, config: OptimizerConfig | None = None,
-    base: float = math.e,
-) -> OptimizerResult:
+def lambda_s_numeric(a: Observable, b: Observable,
+                     config: OptimizerConfig | None = None) -> OptimizerResult:
     """Optimal sequential bound for two observables, found numerically."""
     a.require_same_dim(b)
     config = config or OptimizerConfig()
-    return _lambda_result(_sequential_stacks([a, b]), a.dim, config, base)
+    return _lambda_result(_sequential_stacks([a, b]), a.dim, config)
 
 
-def lambda_s3_numeric(
-    a: Observable, b: Observable, c: Observable,
-    config: OptimizerConfig | None = None, base: float = math.e,
-) -> OptimizerResult:
+def lambda_s3_numeric(a: Observable, b: Observable, c: Observable,
+                      config: OptimizerConfig | None = None) -> OptimizerResult:
     """Optimal sequential bound for a three-observable chain, found numerically."""
     a.require_same_dim(b)
     a.require_same_dim(c)
     config = config or OptimizerConfig()
-    return _lambda_result(_sequential_stacks([a, b, c]), a.dim, config, base)
+    return _lambda_result(_sequential_stacks([a, b, c]), a.dim, config)

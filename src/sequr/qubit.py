@@ -9,7 +9,7 @@ the n1-n2 plane only raises the entropy sum, so the optimum is the minimum
 over phi of h(cos^2(phi/2)) + h(cos^2((theta - phi)/2)), with h the binary
 entropy and phi the angle of the Bloch vector from n1 (Sanchez-Ruiz, Phys.
 Lett. A 244, 189 (1998); Ghirardi, Marinatto & Romano, Phys. Lett. A 317, 32
-(2003)).
+(2003)). Every curve is in nats.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _PHI_GRID = np.linspace(0.0, math.pi, 257)
 _PHI_STEP = _PHI_GRID[1]
 
-#: Slack allowed in each inequality of ``ThetaCurvePoint.chain_holds``.
+#: Slack allowed in each inequality of ``ThetaCurvePoint.chain_margins``.
 CHAIN_SLACK = 1e-6
 
 
@@ -47,22 +47,22 @@ def spin_observable(n) -> Observable:
     return spectral_resolution(n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z)
 
 
-def lambda_s_theta(theta: float, base: float = math.e) -> float:
+def lambda_s_theta(theta: float) -> float:
     """Optimal sequential bound: binary entropy of cos^2(theta/2). Symmetric about pi/2."""
     p = math.cos(theta / 2.0) ** 2
-    return _entropy(np.array([p, 1.0 - p]), math.log(base))
+    return _entropy(np.array([p, 1.0 - p]))
 
 
-def deutsch_theta(theta: float, base: float = math.e) -> float:
+def deutsch_theta(theta: float) -> float:
     """Deutsch bound 2 log(2 / (1 + max{|cos theta/2|, |sin theta/2|}))."""
     top = max(abs(math.cos(theta / 2.0)), abs(math.sin(theta / 2.0)))
-    return 2.0 * math.log(2.0 / (1.0 + top)) / math.log(base)
+    return 2.0 * math.log(2.0 / (1.0 + top))
 
 
-def mu_theta(theta: float, base: float = math.e) -> float:
+def mu_theta(theta: float) -> float:
     """Maassen-Uffink bound log(1 / max{cos^2 theta/2, sin^2 theta/2})."""
     top = max(math.cos(theta / 2.0) ** 2, math.sin(theta / 2.0) ** 2)
-    return -math.log(top) / math.log(base) + 0.0
+    return -math.log(top) + 0.0
 
 
 def _theta_star_lhs(theta: float) -> float:
@@ -95,7 +95,7 @@ def _plane_entropy_sum(phi, theta: float):
     return (entr(np.cos(half) ** 2) + entr(np.sin(half) ** 2)).sum(axis=0)
 
 
-def _middle_search(theta: float, base: float) -> float:
+def _middle_search(theta: float) -> float:
     """Minimum of ``_plane_entropy_sum`` over phi: grid scan, then bounded Brent.
 
     Brent searches the two grid cells around the grid minimum. The smaller of
@@ -110,10 +110,10 @@ def _middle_search(theta: float, base: float) -> float:
         bounds=(centre - _PHI_STEP, centre + _PHI_STEP),
         method="bounded", options={"xatol": 1e-12},
     )
-    return min(float(refined.fun), float(values[best])) / math.log(base)
+    return min(float(refined.fun), float(values[best]))
 
 
-def sanchez_ruiz_theta(theta: float, base: float = math.e):
+def sanchez_ruiz_theta(theta: float):
     """Optimal distinct-ensemble bound for spin components theta apart.
 
     Returns ``(value, regime)`` with regime one of ``low`` (closed form,
@@ -126,12 +126,12 @@ def sanchez_ruiz_theta(theta: float, base: float = math.e):
         raise ValueError("theta must lie in [0, pi]")
     boundary = theta_star()
     if theta <= boundary:
-        return 2.0 * lambda_s_theta(theta / 2.0, base), "low"
+        return 2.0 * lambda_s_theta(theta / 2.0), "low"
     if theta >= math.pi - boundary:
-        lo = lambda_s_theta(math.pi / 2.0 + theta / 2.0, base)
-        hi = lambda_s_theta(math.pi / 2.0 - theta / 2.0, base)
+        lo = lambda_s_theta(math.pi / 2.0 + theta / 2.0)
+        hi = lambda_s_theta(math.pi / 2.0 - theta / 2.0)
         return lo + hi, "high"
-    return _middle_search(theta, base), "middle-search"
+    return _middle_search(theta), "middle-search"
 
 
 @dataclass(frozen=True)
@@ -149,27 +149,31 @@ class ThetaCurvePoint:
     def theta_deg(self) -> float:
         return math.degrees(self.theta)
 
-    def chain_holds(self) -> bool:
+    def chain_margins(self) -> tuple:
+        """Slack left in lambda_s >= lambda_d >= lambda_d2 >= 2 lambda_d1; negative fails."""
         return (
-            self.lambda_s >= self.lambda_d - CHAIN_SLACK
-            and self.lambda_d >= self.lambda_d2 - CHAIN_SLACK
-            and self.lambda_d2 >= 2.0 * self.lambda_d1 - CHAIN_SLACK
+            CHAIN_SLACK + (self.lambda_s - self.lambda_d),
+            CHAIN_SLACK + (self.lambda_d - self.lambda_d2),
+            CHAIN_SLACK + (self.lambda_d2 - 2.0 * self.lambda_d1),
         )
 
+    def chain_holds(self) -> bool:
+        return all(margin >= 0.0 for margin in self.chain_margins())
 
-def curve_point(theta: float, base: float = math.e) -> ThetaCurvePoint:
+
+def curve_point(theta: float) -> ThetaCurvePoint:
     """Evaluate all four bounds at one angle."""
-    value, regime = sanchez_ruiz_theta(theta, base)
+    value, regime = sanchez_ruiz_theta(theta)
     return ThetaCurvePoint(
         theta=theta,
-        lambda_s=lambda_s_theta(theta, base),
+        lambda_s=lambda_s_theta(theta),
         lambda_d=value,
-        lambda_d2=mu_theta(theta, base),
-        lambda_d1=deutsch_theta(theta, base),
+        lambda_d2=mu_theta(theta),
+        lambda_d1=deutsch_theta(theta),
         regime=regime,
     )
 
 
-def table1(base: float = math.e) -> list:
+def table1() -> list:
     """Bound curves at 0, 10, ..., 90 degrees."""
-    return [curve_point(math.radians(d), base) for d in range(0, 100, 10)]
+    return [curve_point(math.radians(d)) for d in range(0, 100, 10)]

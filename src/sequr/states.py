@@ -26,7 +26,7 @@ from .linalg import Observable, _check_dim, as_complex_matrix, is_hermitian, spe
 #: Probabilities in [-NEGATIVE_CLIP, 0) are treated as roundoff and clipped to 0.
 NEGATIVE_CLIP = 1e-12
 
-#: A probability table whose total is farther than this from 1 is rejected.
+#: A probability vector or table whose total is farther than this from 1 is rejected.
 TOTAL_TOL = 1e-9
 
 #: Largest joint table (product of the outcome counts) a measurement sequence may have.
@@ -101,11 +101,13 @@ class JointDistribution:
     table: np.ndarray
 
     def __post_init__(self):
+        # the clipped copy is the only one made: it is normalized in place
         table = _clip_probabilities(np.asarray(self.table, dtype=float))
         total = table.sum()
         if abs(total - 1.0) > TOTAL_TOL:
             raise ValueError(f"joint table sums to {total!r}, not 1")
-        object.__setattr__(self, "table", table / total)
+        table /= total
+        object.__setattr__(self, "table", table)
 
     def marginal(self, axis: int) -> np.ndarray:
         others = tuple(k for k in range(self.table.ndim) if k != axis)

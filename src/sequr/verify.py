@@ -284,13 +284,13 @@ def check_qubit_bound_chain(seed, instances, dims) -> PropertyResult:
     """Bound ordering on the spin-component angle grid (5 degree steps)."""
     del seed, instances, dims  # deterministic closed forms; no sampling
     degrees = range(0, 181, 5)
+    labels = ("sequential >= optimal", "optimal >= MU", "MU >= 2 Deutsch")
 
     def margins():
         for d in degrees:
-            p = qubit.curve_point(math.radians(d))
-            yield 1e-6 + (p.lambda_s - p.lambda_d), f"sequential >= optimal at {d} deg"
-            yield 1e-6 + (p.lambda_d - p.lambda_d2), f"optimal >= MU at {d} deg"
-            yield 1e-6 + (p.lambda_d2 - 2.0 * p.lambda_d1), f"MU >= 2 Deutsch at {d} deg"
+            point = qubit.curve_point(math.radians(d))
+            for label, margin in zip(labels, point.chain_margins()):
+                yield margin, f"{label} at {d} deg"
 
     return _result("qubit-bound-chain", len(degrees), margins(), str)
 

@@ -289,6 +289,75 @@ class TestSimulate:
         assert main(["simulate", zx_file, "--order", "Z", "X", "--samples", "0"]) == 2
 
 
+#: Dim-3 scenario whose first observable P is degenerate, so lambda_s needs a
+#: subspace search; Q is nondegenerate.
+DEGENERATE_DOC = {
+    "dim": 3,
+    "observables": {
+        "P": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [-1, 0]]],
+        "Q": [[[0, 0], [1, 0], [0, 0]], [[1, 0], [0, 0], [0, -1]], [[0, 0], [0, 1], [0.5, 0]]],
+    },
+    "state": [[0.6, 0], [0, 0.48], [0.64, 0]],
+}
+
+
+class TestLogBase:
+    """``--log-base 2`` prints the base-e values divided by ln 2; checks are unchanged."""
+
+    RUNS = {
+        "bounds-pair": ["bounds", "zx.json", "--order", "Z", "X", "--starts", "8"],
+        "bounds-triple": ["bounds", "zx.json", "--order", "Z", "X", "Z", "--starts", "8"],
+        "bounds-degenerate": ["bounds", "deg.json", "--order", "P", "Q", "--starts", "8"],
+        "sweep": ["sweep", "--steps", "37"],
+        "simulate": ["simulate", "deg.json", "--order", "P", "Q", "--samples", "20000",
+                     "--seed", "3"],
+    }
+
+    @staticmethod
+    def split(payload: dict) -> tuple:
+        """(entropy values, verdicts, everything else) of one JSON payload."""
+        rest = dict(payload, log_base=None)
+        if payload["command"] == "bounds":
+            return payload["bounds"], rest.pop("checks"), dict(rest, bounds=None)
+        if payload["command"] == "sweep":
+            fields = ("lambda_s", "lambda_d", "lambda_d2", "lambda_d1")
+            values = [row[f] for row in payload["rows"] for f in fields]
+            verdicts = [row["chain_ok"] for row in payload["rows"]]
+            rows = [{k: v for k, v in row.items() if k not in fields}
+                    for row in payload["rows"]]
+            return values, verdicts, dict(rest, rows=rows)
+        keys = ("entropy_analytic", "entropy_empirical", "entropy_stderr")
+        values = [m[k] for m in payload["marginals"] for k in keys]
+        marginals = [{k: v for k, v in m.items() if k not in keys}
+                     for m in payload["marginals"]]
+        return values, None, dict(rest, marginals=marginals)
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_bits_are_nats_over_ln2(self, name, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "zx.json").write_text(json.dumps(ZX_DOC))
+        (tmp_path / "deg.json").write_text(json.dumps(DEGENERATE_DOC))
+        runs = []
+        for base in ("e", "2"):
+            code = main(self.RUNS[name] + ["--log-base", base, "--format", "json"])
+            payload = json.loads(capsys.readouterr().out)
+            payload.pop("timing_s", None)
+            runs.append((code,) + self.split(payload))
+        (code_e, nats, verdicts_e, rest_e), (code_2, bits, verdicts_2, rest_2) = runs
+        assert code_e == code_2 == 0
+        assert verdicts_e == verdicts_2
+        assert rest_e == rest_2
+        if isinstance(nats, dict):
+            assert nats.keys() == bits.keys()
+            nats, bits = list(nats.values()), list(bits.values())
+        assert len(nats) == len(bits) > 0
+        for nat, bit in zip(nats, bits):
+            if nat is None:
+                assert bit is None
+            else:
+                assert bit == pytest.approx(nat / math.log(2), rel=1e-5, abs=1e-12)
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "zx.json", "--order", "Z", "X", "--samples", str(2**63)],
     ["sweep", "--steps", str(10**13)],

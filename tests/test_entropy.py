@@ -26,16 +26,11 @@ class TestShannonEntropy:
         p = math.cos(math.radians(15)) ** 2
         assert shannon_entropy([p, 1 - p]) == pytest.approx(0.246, abs=5e-4)
 
-    def test_base_two(self):
-        assert shannon_entropy([0.5, 0.5], base=2) == pytest.approx(1.0, abs=1e-12)
-
     def test_rejects_bad_distributions(self):
         with pytest.raises(ValueError):
             shannon_entropy([0.5, 0.6])
         with pytest.raises(ValueError):
             shannon_entropy([1.5, -0.5])
-        with pytest.raises(ValueError):
-            shannon_entropy([0.5, 0.5], base=1.0)
 
     def test_tiny_weights_never_produce_nan(self):
         value = shannon_entropy([1.0 - 1e-16, 1e-16])

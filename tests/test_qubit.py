@@ -251,13 +251,7 @@ class TestMiddleSearch:
         boundary = theta_star()
         low, regime = sanchez_ruiz_theta(boundary)
         assert regime == "low"
-        assert abs(_middle_search(boundary, math.e) - low) <= 1e-12
+        assert abs(_middle_search(boundary) - low) <= 1e-12
         high, regime = sanchez_ruiz_theta(math.pi - boundary)
         assert regime == "high"
-        assert abs(_middle_search(math.pi - boundary, math.e) - high) <= 1e-12
-
-    def test_log_base_divides(self):
-        theta = math.radians(80)
-        nats = sanchez_ruiz_theta(theta)[0]
-        assert sanchez_ruiz_theta(theta, 2.0)[0] == pytest.approx(nats / math.log(2),
-                                                                   abs=1e-15)
+        assert abs(_middle_search(math.pi - boundary) - high) <= 1e-12

@@ -340,7 +340,7 @@ class TestChainKernel:
         assert joint.table.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(joint.table.sum(axis=4), wigner_joint(rho, *chain[:4]).table,
                            rtol=0, atol=1e-15)
-        assert peak <= 128 * 2**20
+        assert peak <= 24 * 2**20
 
     def test_oversized_chain_refused_before_allocation(self):
         rho = random_state(16, seed=7)
