@@ -1,11 +1,11 @@
-"""Closed-form lower bounds on entropic uncertainty sums.
+"""Closed-form lower bounds on entropic uncertainty sums, in nats.
 
-Two families: bounds for observables measured on distinct, identically
-prepared ensembles (Deutsch, Partovi, Maassen-Uffink, Krishna-Parthasarathy),
-and the optimal bounds for observables measured sequentially on the same
-ensemble, which reduce to minimizing the later measurements' entropies over
-eigenstates of the first observable. Measurement order matters: none of the
-sequential bounds are symmetrized. Every bound is in nats.
+Distinct-ensemble bounds (Deutsch, Partovi, Maassen-Uffink, Krishna-Parthasarathy)
+and the optimal sequential bounds, which minimize the later entropies over
+eigenstates of the first observable, so measurement order matters. The closed
+forms read the table c[i, j] = ||P_A(a_i) P_B(b_j)||^2 of the eigenprojectors of
+A and B, built on the isometries of ``states._chain_overlaps``. Two projectors
+have ||P + Q|| = 1 + ||PQ||; for nondegenerate spectra c[i, j] = |<a_i|b_j>|^2.
 """
 
 from __future__ import annotations
@@ -16,20 +16,26 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .entropy import _entropy, _quadratic_entropy, _quadratic_entropy_gradient
-from .linalg import Observable, operator_norm
+from .linalg import Observable
 from .optimize import OptimizerConfig, minimize_in_subspace
+from .states import _chain_overlaps
 
 #: Starts per subspace dimension when a degenerate eigenspace needs a search.
 _SUBSPACE_STARTS = 8
 
 
-def _require_nondegenerate(*observables: Observable) -> None:
-    for obs in observables:
-        if not obs.is_nondegenerate:
-            raise ValueError(
-                "observable has a degenerate spectrum; use the projector-norm "
-                "variants (partovi/krishna-parthasarathy) instead"
-            )
+def _overlap_table(a: Observable, b: Observable) -> np.ndarray:
+    """c[i, j] = ||P_A(a_i) P_B(b_j)||^2: top squared singular value of block (i, j) of
+    ``_chain_overlaps([a, b])``, its squared Frobenius norm unless both eigenspaces are degenerate.
+    """
+    a.require_same_dim(b)
+    edges, (_, blocks) = _chain_overlaps([a, b])
+    weights = np.abs(np.hstack(blocks).T) ** 2  # rows: eigenbasis of a, columns: of b
+    table = np.add.reduceat(np.add.reduceat(weights, edges[0][:-1]), edges[1][:-1], axis=1)
+    for i in (n for n, m in enumerate(a.multiplicities) if m > 1):
+        for j in (n for n, m in enumerate(b.multiplicities) if m > 1):
+            table[i, j] = np.linalg.norm(blocks[i][edges[1][j]:edges[1][j + 1]], 2) ** 2
+    return table
 
 
 def squared_overlaps(a: Observable, b: Observable) -> np.ndarray:
@@ -39,43 +45,45 @@ def squared_overlaps(a: Observable, b: Observable) -> np.ndarray:
     row and column sums to 1.
     """
     a.require_same_dim(b)
-    _require_nondegenerate(a, b)
-    return np.abs(a.eigenbasis().conj().T @ b.eigenbasis()) ** 2
+    if not (a.is_nondegenerate and b.is_nondegenerate):
+        raise ValueError(
+            "observable has a degenerate spectrum; use the projector-norm "
+            "variants (partovi/krishna-parthasarathy) instead"
+        )
+    return _overlap_table(a, b)
 
 
 def deutsch_bound(a: Observable, b: Observable) -> float:
-    """2 log[2 / (1 + max overlap)]; zero only when the observables share an eigenvector."""
+    """2 log[2 / (1 + max |<a_i|b_j>|)]: ``partovi_bound`` on nondegenerate spectra."""
     top = math.sqrt(squared_overlaps(a, b).max())
     return 2.0 * math.log(2.0 / (1.0 + top))
 
 
 def partovi_bound(a: Observable, b: Observable) -> float:
-    """2 log[2 / max ||P_A(a_i) + P_B(b_j)||]; degeneracy-safe form of the Deutsch bound."""
-    a.require_same_dim(b)
-    top = max(
-        operator_norm(pa + pb) for pa in a.projectors for pb in b.projectors
-    )
-    return 2.0 * math.log(2.0 / top)
+    """2 log[2 / max ||P_A(a_i) + P_B(b_j)||]; degeneracy-safe form of the Deutsch bound.
+
+    As ||P + Q|| = 1 + ||PQ||, this is 2 log[2 / (1 + max ||P_A(a_i) P_B(b_j)||)].
+    """
+    return 2.0 * math.log(2.0 / (1.0 + math.sqrt(_overlap_table(a, b).max())))
 
 
 def maassen_uffink_bound(a: Observable, b: Observable) -> float:
-    """log[1 / max |<a_i|b_j>|^2]; equals log(n) for complementary observables."""
+    """log[1 / max |<a_i|b_j>|^2]: ``krishna_parthasarathy_bound`` on nondegenerate spectra."""
     return -math.log(squared_overlaps(a, b).max()) + 0.0
 
 
 def krishna_parthasarathy_bound(a: Observable, b: Observable) -> float:
-    """log[1 / max ||P_A(a_i) P_B(b_j)||^2]; degeneracy-safe and never below Partovi."""
-    a.require_same_dim(b)
-    top = max(
-        operator_norm(pa @ pb) for pa in a.projectors for pb in b.projectors
-    )
-    return -2.0 * math.log(top) + 0.0
+    """log[1 / max ||P_A(a_i) P_B(b_j)||^2]; degeneracy-safe and never below Partovi.
+
+    As ||P + Q|| = 1 + ||PQ||, Partovi's bound is 2 log[2 / (1 + t)] <= -2 log t for
+    t = max ||P_A(a_i) P_B(b_j)|| <= 1.
+    """
+    return -math.log(_overlap_table(a, b).max()) + 0.0
 
 
 def is_complementary(a: Observable, b: Observable, tol: float = 1e-9) -> bool:
     """True if every squared eigenvector overlap equals 1/dim within ``tol``."""
-    u = squared_overlaps(a, b)
-    return bool(np.abs(u - 1.0 / a.dim).max() <= tol)
+    return bool(np.abs(squared_overlaps(a, b) - 1.0 / a.dim).max() <= tol)
 
 
 def lambda_s_two(a: Observable, b: Observable, config: OptimizerConfig | None = None) -> float:
@@ -87,11 +95,10 @@ def lambda_s_two(a: Observable, b: Observable, config: OptimizerConfig | None = 
     numerically (``config`` seeds that search, 8 starts per subspace
     dimension). Order-dependent: swapping the arguments changes the value.
     """
-    a.require_same_dim(b)
     candidates = []
-    for basis in a.eigenvectors:
+    for basis, row in zip(a.eigenvectors, _overlap_table(a, b)):
         if basis.shape[1] == 1:
-            candidates.append(_quadratic_entropy(b.projectors, basis[:, 0]))
+            candidates.append(_entropy(row))
         else:
             cfg = replace(config or OptimizerConfig(seed=0),
                           starts=_SUBSPACE_STARTS * basis.shape[1])
@@ -129,12 +136,7 @@ def lambda_s_three(a: Observable, b: Observable, c: Observable) -> TripleBound:
     second-stage term applies the overlap transition of (``b``, ``c``) to the
     first-stage distributions before taking entropies.
     """
-    a.require_same_dim(b)
-    a.require_same_dim(c)
-    _require_nondegenerate(a, b, c)
-
-    u = squared_overlaps(a, b)
-    v = squared_overlaps(b, c)
+    u, v = squared_overlaps(a, b), squared_overlaps(b, c)
     w = u @ v  # row i: distribution of the third outcome from eigenstate i
     first = np.array([_entropy(row) for row in u])
     second = np.array([_entropy(row) for row in w])

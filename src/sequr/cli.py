@@ -109,9 +109,10 @@ _NO_EFFECT_SEED = "accepted and echoed in the output; has no effect on this comm
 
 
 def _common_flags(parser: argparse.ArgumentParser, seed_default: int,
-                  seed_help: str | None = None) -> None:
-    parser.add_argument("--log-base", default="e",
-                        help="entropy log base: 'e' (default) or a number > 1")
+                  seed_help: str | None = None, log_base: bool = True) -> None:
+    if log_base:
+        parser.add_argument("--log-base", default="e",
+                            help="entropy log base: 'e' (default) or a number > 1")
     parser.add_argument("--format", choices=("table", "csv", "json"), default="table")
     parser.add_argument("--seed", type=int, default=seed_default, help=seed_help)
     parser.add_argument("--quiet", action="store_true",
@@ -137,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=5e-4,
                    help="match tolerance against the 3-decimal reference values "
                         "(middle-band entries get an extra 1e-3)")
-    _common_flags(p, seed_default=0, seed_help=_NO_EFFECT_SEED)
+    _common_flags(p, seed_default=0, seed_help=_NO_EFFECT_SEED, log_base=False)
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("sweep", help="bound curves on an angle grid")
@@ -150,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the randomized property suite")
     p.add_argument("--instances", type=int, default=200)
     p.add_argument("--dims", default="2-5", help="dimension range, e.g. 2-5 or 3")
-    _common_flags(p, seed_default=42)
+    _common_flags(p, seed_default=42, log_base=False)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("simulate", help="Monte Carlo check of sequential probabilities")
@@ -274,9 +275,6 @@ def _curve_in_base(point, ln_base: float):
 
 
 def cmd_table1(args) -> int:
-    base = _parse_log_base(args.log_base)
-    if abs(base - math.e) > 1e-12:
-        raise ScenarioError("the reference table is defined for natural log only")
     if not 0.0 < args.tolerance < math.inf:
         raise ScenarioError("--tolerance must be positive and finite")
     rows = table1()

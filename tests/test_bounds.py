@@ -14,10 +14,10 @@ from sequr.bounds import (
     partovi_bound,
     squared_overlaps,
 )
-from sequr.entropy import entropies_sequential
-from sequr.linalg import spectral_resolution
+from sequr.entropy import entropies_sequential, shannon_entropy
+from sequr.linalg import operator_norm, spectral_resolution
 from sequr.qubit import spin_observable
-from sequr.states import pure_density, random_observable, random_state
+from sequr.states import pure_density, random_hermitian, random_observable, random_state
 
 
 def tilted_spin(deg):
@@ -33,7 +33,54 @@ def fourier_pair(n):
     return spectral_resolution(diag), spectral_resolution(f @ diag @ f.conj().T)
 
 
+def eigenspace_observable(multiplicities, seed):
+    """Observable with eigenspaces of the given multiplicities, in a random orientation."""
+    _, u = np.linalg.eigh(random_hermitian(sum(multiplicities), np.random.default_rng(seed)))
+    values = np.repeat(np.arange(len(multiplicities), dtype=float), multiplicities)
+    obs = spectral_resolution(u @ np.diag(values) @ u.conj().T)
+    assert obs.multiplicities == tuple(multiplicities)
+    return obs
+
+
+def projector_pair_bounds(a, b):
+    """Partovi and Krishna-Parthasarathy from every pair of d x d eigenprojectors."""
+    pairs = [(p, q) for p in a.projectors for q in b.projectors]
+    plus = max(operator_norm(p + q) for p, q in pairs)
+    times = max(operator_norm(p @ q) for p, q in pairs)
+    return 2.0 * math.log(2.0 / plus), -2.0 * math.log(times)
+
+
+#: Eigenspace multiplicities of (A, B): neither, either or both degenerate, dims 2-8.
+MULTIPLICITY_PAIRS = [
+    ((1, 1), (1, 1)),
+    ((1,) * 5, (1,) * 5),
+    ((1,) * 8, (1,) * 8),
+    ((2, 1), (1, 1, 1)),
+    ((1, 1, 1, 1), (3, 1)),
+    ((1,) * 6, (2, 2, 2)),
+    ((2,), (1, 1)),
+    ((2, 2), (2, 2)),
+    ((3, 2, 1), (1, 2, 2, 1)),
+    ((1, 3, 3), (4, 1, 2)),
+    ((4, 4), (2, 3, 3)),
+]
+
+
 class TestDistinctBounds:
+    @pytest.mark.parametrize("mult_a, mult_b", MULTIPLICITY_PAIRS)
+    def test_matches_projector_norm_oracle(self, mult_a, mult_b):
+        for seed in range(0, 6, 2):
+            a = eigenspace_observable(mult_a, seed)
+            b = eigenspace_observable(mult_b, seed + 1)
+            partovi, kp = projector_pair_bounds(a, b)
+            assert partovi_bound(a, b) == pytest.approx(partovi, abs=1e-12)
+            assert krishna_parthasarathy_bound(a, b) == pytest.approx(kp, abs=1e-12)
+            if a.is_nondegenerate:
+                # closed branch: the b-distribution <a_i|P_B(b_j)|a_i> of each eigenvector
+                closed = min(shannon_entropy([(v.conj() @ q @ v).real for q in b.projectors])
+                             for v in a.eigenbasis().T)
+                assert lambda_s_two(a, b) == pytest.approx(closed, abs=1e-12)
+
     def test_deutsch_at_90(self, sigma_z, sigma_x):
         assert deutsch_bound(sigma_z, sigma_x) == pytest.approx(0.317, abs=5e-4)
 

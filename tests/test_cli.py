@@ -332,6 +332,13 @@ class TestLogBase:
                      for m in payload["marginals"]]
         return values, None, dict(rest, marginals=marginals)
 
+    @pytest.mark.parametrize("argv", [["verify", "--log-base", "2"], ["table1", "--log-base", "e"]])
+    def test_refused_where_never_read(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --log-base" in capsys.readouterr().err
+
     @pytest.mark.parametrize("name", sorted(RUNS))
     def test_bits_are_nats_over_ln2(self, name, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
