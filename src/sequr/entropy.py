@@ -3,7 +3,9 @@
 Every entropy is in nats. The ``0 log 0 = 0`` convention is implemented by
 dropping weights at or below ``WEIGHT_FLOOR``, which is the same thing at
 machine precision. Every entropy of a probability vector goes through
-``_entropy``; only ``qubit._plane_entropy_sum`` uses ``scipy.special.entr``.
+``_entropy``, and every optimizer objective through its row-wise form
+``_quadratic_entropy``; only ``qubit._plane_entropy_sum`` uses
+``scipy.special.entr``.
 """
 
 from __future__ import annotations
@@ -32,9 +34,17 @@ def _entropy(p: np.ndarray) -> float:
     return max(0.0, float(-(p * np.log(p)).sum()))
 
 
-def _quadratic_entropy(stack: np.ndarray, state: np.ndarray) -> float:
-    """Entropy of the distribution <psi|M_k|psi> for a stack of operators M_k."""
-    return _entropy(_clip_probabilities(np.einsum("kij,i,j->k", stack, state.conj(), state).real))
+def _quadratic_entropy(stack: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Entropies of the distributions <psi|M_k|psi> for a stack of operators M_k.
+
+    Row-wise: ``states`` of shape (..., dim) give values of shape (...), each
+    never negative, like ``_entropy``. Weights at or below ``WEIGHT_FLOOR``
+    get a zero log term, so ``log(0)`` is never taken.
+    """
+    p = _clip_probabilities(np.einsum("kij,...i,...j->...k", stack, states.conj(), states).real)
+    log_p = np.log(p, out=np.zeros_like(p), where=p > WEIGHT_FLOOR)
+    s = -(p * log_p).sum(axis=-1)
+    return np.where(s > 0.0, s, 0.0)
 
 
 def _quadratic_entropy_gradient(stack: np.ndarray, state: np.ndarray) -> np.ndarray:

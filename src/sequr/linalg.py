@@ -8,6 +8,7 @@ small (dimension 2..16) and dense; eigenproblems are delegated to LAPACK via
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -94,8 +95,14 @@ class Observable:
         return all(m == 1 for m in self.multiplicities)
 
     def eigenbasis(self) -> np.ndarray:
-        """All eigenvectors as columns, grouped by ascending eigenvalue."""
-        return np.hstack(self.eigenvectors)
+        """All eigenvectors as columns, grouped by ascending eigenvalue (read-only)."""
+        return self._eigenbasis
+
+    @cached_property
+    def _eigenbasis(self) -> np.ndarray:
+        basis = np.hstack(self.eigenvectors)
+        basis.flags.writeable = False
+        return basis
 
     def require_same_dim(self, other) -> None:
         dim = other.shape[0] if isinstance(other, np.ndarray) else other.dim

@@ -4,11 +4,12 @@ Restricting the search to pure states is exact: the entropy objectives are
 concave in the density operator, so their infimum over the convex set of all
 states is attained at an extreme point. A pure state in dimension d is
 parameterized by 2d-1 reals (first amplitude real, global phase fixed,
-normalization applied inside the objective). Each start runs one Powell
-sweep (a line search along every coordinate) from a seeded random point,
-which picks the basin, then L-BFGS-B from there to converge in it. Results
-are deterministic and independent of scheduling. Entropy objectives are in
-nats.
+normalization applied inside the objective). Each start screens a seeded
+pool of ``SCREEN_SIZE`` random states in one call of the objective, which
+picks the basin, then runs L-BFGS-B from the best of them to converge in it.
+Objectives are row-wise: they map states of shape (..., dim) to values of
+shape (...). Results are deterministic and independent of scheduling.
+Entropy objectives are in nats.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from .linalg import Observable
 
 _NORM_FLOOR = 1e-12
 _PENALTY = 1e30
-#: Powell ``xtol`` of the basin-picking sweep; its line searches stop at 100x
-#: this relative step. The sweep only has to reach the basin: L-BFGS-B then
+#: Random states each start screens in one objective call; L-BFGS-B starts
+#: from the best. The screen only has to reach the basin: L-BFGS-B then
 #: converges in it.
-_SWEEP_XTOL = 1e-6
+SCREEN_SIZE = 32
 #: L-BFGS-B stopping tolerances: projected-gradient norm and relative value change.
 #: Near an optimum with vanishing outcome probabilities the value stops
 #: resolving changes at gradient norms of about 1e-7, where a smaller
@@ -58,12 +59,14 @@ class OptimizerResult:
     minimizer: np.ndarray  # unit vector achieving ``value``
     starts_converged: int
     per_start_values: tuple
+    evaluations: int  # states evaluated: the screens plus every L-BFGS-B point
 
 
 def _params_to_vector(params: np.ndarray) -> np.ndarray:
-    v = np.empty((len(params) + 1) // 2, dtype=complex)
-    v[0] = params[0]
-    v[1:] = params[1::2] + 1j * params[2::2]
+    """Vectors of shape (..., dim) for parameter rows of shape (..., 2 dim - 1)."""
+    v = np.empty(params.shape[:-1] + ((params.shape[-1] + 1) // 2,), dtype=complex)
+    v[..., 0] = params[..., 0]
+    v[..., 1:] = params[..., 1::2] + 1j * params[..., 2::2]
     return v
 
 
@@ -101,41 +104,47 @@ def minimize_over_pure_states(
 ) -> OptimizerResult:
     """Multi-start minimization of ``objective`` over unit vectors in C^dim.
 
-    ``gradient(state)``, if given, returns dF/dpsi-bar (the Wirtinger
-    gradient) at a unit vector; without it L-BFGS-B uses finite differences.
-    Start k draws its initial point from a generator seeded with
-    ``config.seed + k``, so the result depends only on the config. The
-    reported value is the minimum over starts; the reported minimizer is the
-    lowest-indexed start within ``value_tolerance`` of it. A start counts as
-    converged when L-BFGS-B does. Raises ``OptimizerFailure`` if the
-    objective goes non-finite or no start converges.
+    ``objective`` is row-wise: it maps unit vectors of shape (..., dim) to
+    values of shape (...). ``gradient(state)``, if given, returns dF/dpsi-bar
+    (the Wirtinger gradient) at one unit vector; without it L-BFGS-B uses
+    finite differences. Start k draws a pool of ``SCREEN_SIZE`` parameter rows
+    from a generator seeded with ``config.seed + k``, evaluates all of them in
+    one objective call, and runs L-BFGS-B from the lowest, so the result
+    depends only on the config. The reported value is the minimum over
+    starts; the reported minimizer is the lowest-indexed start within
+    ``value_tolerance`` of it. A start counts as converged when L-BFGS-B
+    does. Raises ``OptimizerFailure`` if the objective goes non-finite or no
+    start converges.
     """
     n_params = 2 * dim - 1
 
+    def checked(states):
+        values = np.asarray(objective(states), dtype=float)
+        if not np.isfinite(values).all():
+            raise OptimizerFailure("objective returned a non-finite value")
+        return values
+
     def wrapped(params):
         state = _params_to_state(params)
-        if state is None:
-            return _PENALTY
-        value = objective(state)
-        if not np.isfinite(value):
-            raise OptimizerFailure("objective returned a non-finite value")
-        return value
+        return _PENALTY if state is None else checked(state)
 
     jac = None if gradient is None else partial(_param_gradient, gradient=gradient)
     values = []
     states = []
     converged = 0
+    evaluations = 0
     for k in range(config.starts):
-        rng = np.random.default_rng(config.seed + k)
-        x0 = rng.standard_normal(n_params)
-        sweep = _scipy_minimize(wrapped, x0, method="Powell",
-                                options={"xtol": _SWEEP_XTOL, "maxiter": 1})
+        pool = np.random.default_rng(config.seed + k).standard_normal((SCREEN_SIZE, n_params))
+        screen = _params_to_vector(pool)
+        screen /= np.linalg.norm(screen, axis=1, keepdims=True)
+        x0 = pool[np.argmin(checked(screen))]
         res = _scipy_minimize(
-            wrapped, np.atleast_1d(sweep.x), method="L-BFGS-B", jac=jac,
+            wrapped, x0, method="L-BFGS-B", jac=jac,
             options={"gtol": _GTOL, "ftol": _FTOL, "maxiter": _MAX_ITERATIONS},
         )
         if res.success:
             converged += 1
+        evaluations += SCREEN_SIZE + res.nfev
         values.append(float(res.fun))
         states.append(_params_to_state(res.x))
 
@@ -155,6 +164,7 @@ def minimize_over_pure_states(
         minimizer=states[chosen],
         starts_converged=converged,
         per_start_values=tuple(values),
+        evaluations=evaluations,
     )
 
 
@@ -177,7 +187,7 @@ def minimize_in_subspace(
         vec = basis[:, 0]
         value = float(objective(vec))
         return OptimizerResult(value=value, minimizer=vec, starts_converged=1,
-                               per_start_values=(value,))
+                               per_start_values=(value,), evaluations=1)
 
     coefficient_gradient = None
     if gradient is not None:
@@ -186,7 +196,7 @@ def minimize_in_subspace(
         def coefficient_gradient(c):
             return adjoint @ gradient(basis @ c)
 
-    result = minimize_over_pure_states(lambda c: objective(basis @ c), k, config,
+    result = minimize_over_pure_states(lambda c: objective(c @ basis.T), k, config,
                                        gradient=coefficient_gradient)
     return replace(result, minimizer=basis @ result.minimizer)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -151,11 +152,14 @@ def _chain_overlaps(observables) -> tuple:
     and its trace is that prefix's probability.
     """
     edges, overlaps = [], []
-    previous = (np.eye(observables[0].dim),)
+    previous = None
     for obs in observables:
         basis_h = obs.eigenbasis().conj().T
-        overlaps.append([basis_h @ v for v in previous])
-        edges.append(np.cumsum((0,) + obs.multiplicities))
+        # B_0^dagger in C order, the layout of the products it replaces: a
+        # transposed view moves table entries in the last bit
+        overlaps.append([np.ascontiguousarray(basis_h)] if previous is None
+                        else [basis_h @ v for v in previous])
+        edges.append(tuple(accumulate(obs.multiplicities, initial=0)))
         previous = obs.eigenvectors
     return edges, overlaps
 
@@ -236,6 +240,7 @@ def sample_sequence(rho: np.ndarray, chain, n: int, seed: int) -> np.ndarray:
     chain = list(chain)
     shape = _table_shape(rho, chain)
     edges, overlaps = _chain_overlaps(chain)
+    heads = [np.array(level[:-1]) for level in edges]  # reduceat indices, converted once
     rng = np.random.default_rng(seed)
     counts = np.zeros(shape, dtype=np.int64)
     last = len(chain) - 1
@@ -244,7 +249,7 @@ def sample_sequence(rho: np.ndarray, chain, n: int, seed: int) -> np.ndarray:
         t = overlaps[depth][j]
         bounds = edges[depth]
         carried = t @ block @ t.conj().T
-        probs = _clip_probabilities(np.add.reduceat(carried.diagonal().real, bounds[:-1]))
+        probs = _clip_probabilities(np.add.reduceat(carried.diagonal().real, heads[depth]))
         split = rng.multinomial(count, probs / probs.sum())
         if depth == last:
             counts[idx] = split

@@ -85,6 +85,14 @@ class TestSpectralResolution:
         basis = sigma_z.eigenbasis()
         assert np.allclose(basis.conj().T @ basis, np.eye(2), atol=1e-12)
 
+    def test_eigenbasis_is_built_once_and_read_only(self):
+        obs = spectral_resolution(np.diag([1.0, 1.0, 2.0]))
+        basis = obs.eigenbasis()
+        assert basis is obs.eigenbasis()
+        assert np.array_equal(basis, np.hstack(obs.eigenvectors))
+        with pytest.raises(ValueError):
+            basis[0, 0] = 5.0
+
 
 class TestOperatorNorm:
     def test_identity(self):

@@ -3,8 +3,9 @@
 ``perfbench/tracer.py`` times a property by wrapping the public functions of
 ``sequr.verify`` that ``ALL_PROPERTIES`` holds. A property that became
 private, or moved to another module, would silently read 0 ms. It counts
-optimizer evaluations by replacing positional argument 0 of
-``minimize_over_pure_states`` with a counting ``objective(state)``, reads the
+objective calls by replacing positional argument 0 of
+``minimize_over_pure_states`` with a counting wrapper (one call per start
+screens ``SCREEN_SIZE`` states, then one call per L-BFGS-B point), reads the
 config from position 2, and counts subspace searches from
 ``minimize_in_subspace`` spans under ``bounds``. ``table1`` and ``sweep``
 compute the qubit middle band with a one-angle search, so they start no
