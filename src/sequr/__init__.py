@@ -23,7 +23,7 @@ from .entropy import (
     variance_relations,
 )
 from .errors import DimensionMismatch, OptimizerFailure, ScenarioError
-from .linalg import Observable, eigh, operator_norm, spectral_resolution
+from .linalg import Observable, eigh, operator_norm, spectral_resolution, spectral_resolutions
 from .optimize import (
     OptimizerConfig,
     OptimizerResult,

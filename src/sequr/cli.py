@@ -61,6 +61,9 @@ REFERENCE_TABLE = (
 #: Most angles one ``sweep`` evaluates.
 MAX_SWEEP_STEPS = 10**5
 
+#: Most instances one ``verify`` draws per property.
+MAX_VERIFY_INSTANCES = 10**5
+
 
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
@@ -364,6 +367,9 @@ def cmd_verify(args) -> int:
 
     if args.instances < 1:
         raise ScenarioError("--instances must be >= 1")
+    if args.instances > MAX_VERIFY_INSTANCES:
+        raise ScenarioError(
+            f"--instances {args.instances} exceeds the limit of {MAX_VERIFY_INSTANCES}")
     dims = _parse_dims(args.dims)
     results = run_all(args.seed, args.instances, dims)
     all_ok = all(r.ok for r in results)

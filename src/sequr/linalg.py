@@ -2,7 +2,9 @@
 
 Everything here works on plain ``numpy`` arrays of complex dtype. Operators are
 small (dimension 2..16) and dense; eigenproblems are delegated to LAPACK via
-``numpy.linalg``.
+``numpy.linalg``. ``eigh``, ``operator_norm`` and the spectral resolution also
+take stacks ``(n, dim, dim)``, which they validate once and hand to LAPACK in
+one call; a stack gives the same bits as its matrices one at a time.
 """
 
 from __future__ import annotations
@@ -21,47 +23,74 @@ MAX_DIM = 16
 HERMITICITY_TOL = 1e-8
 
 
-def as_complex_matrix(matrix) -> np.ndarray:
-    """Coerce input to a square complex matrix with finite entries."""
+def as_complex_matrix(matrix, stacked: bool = False) -> np.ndarray:
+    """Coerce input to a square complex matrix with finite entries.
+
+    With ``stacked=True`` the input may also be a stack ``(..., dim, dim)`` of
+    such matrices. This is the one place input is coerced and checked; the
+    kernels below take its output as it is.
+    """
     m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or (m.ndim > 2 and not stacked) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
+    return m
+
+
+def _hermitian(m: np.ndarray) -> np.ndarray:
+    """Per matrix of a coerced (stack of) matrices: equal to its conjugate transpose
+    within ``HERMITICITY_TOL``, relative to its largest entry floored at 1."""
+    scale = np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
+    return np.abs(m - m.conj().swapaxes(-2, -1)).max(axis=(-2, -1)) <= HERMITICITY_TOL * scale
+
+
+def _checked_hermitian(matrix, stacked: bool = False) -> np.ndarray:
+    """``as_complex_matrix``, then ``ValueError`` unless every matrix is Hermitian."""
+    m = as_complex_matrix(matrix, stacked)
+    if not _hermitian(m).all():
+        raise ValueError(f"matrix is not Hermitian within {HERMITICITY_TOL:g}")
     return m
 
 
 def is_hermitian(matrix: np.ndarray) -> bool:
     """True if ``matrix`` equals its conjugate transpose within ``HERMITICITY_TOL`` (relative)."""
-    m = as_complex_matrix(matrix)
-    scale = max(np.abs(m).max(), 1.0)
-    return np.abs(m - m.conj().T).max() <= HERMITICITY_TOL * scale
+    return bool(_hermitian(as_complex_matrix(matrix)))
 
 
 def eigh(matrix: np.ndarray):
-    """Eigendecompose a Hermitian matrix.
+    """Eigendecompose a Hermitian matrix, or a stack ``(..., dim, dim)`` of them.
 
     Returns ``(eigenvalues, eigenvectors)`` with real eigenvalues in ascending
     order and orthonormal eigenvectors as the columns of the second array.
     Raises ``ValueError`` if the input is not Hermitian (``is_hermitian``).
+    A stack is decomposed by one LAPACK call per matrix, bit-equal to
+    decomposing its matrices one at a time.
     """
-    m = as_complex_matrix(matrix)
-    if not is_hermitian(m):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    values, vectors = np.linalg.eigh(m)
-    return values, vectors
+    return np.linalg.eigh(_checked_hermitian(matrix, stacked=True))
 
 
-def operator_norm(matrix: np.ndarray) -> float:
-    """Largest singular value. For Hermitian input this is max |eigenvalue|."""
-    m = as_complex_matrix(matrix)
-    return float(np.linalg.norm(m, ord=2))
+def operator_norm(matrix: np.ndarray):
+    """Largest singular value; one per matrix for a stack ``(..., dim, dim)``.
+
+    For Hermitian input this is max |eigenvalue|. A single matrix gives a
+    ``float``; a stack gives an array, bit-equal to the per-matrix values.
+    """
+    m = as_complex_matrix(matrix, stacked=True)
+    norms = np.linalg.norm(m, ord=2, axis=(-2, -1))
+    return float(norms) if m.ndim == 2 else norms
 
 
-def default_cluster_tol(eigenvalues: np.ndarray) -> float:
-    """Degeneracy threshold: 1e-8 times the spectral spread, floored at 1."""
-    spread = float(eigenvalues[-1] - eigenvalues[0]) if len(eigenvalues) else 0.0
-    return 1e-8 * max(spread, 1.0)
+def default_cluster_tol(eigenvalues: np.ndarray):
+    """Degeneracy threshold: 1e-8 times the spectral spread, floored at 1.
+
+    ``eigenvalues`` are ascending along the last axis; a stack of spectra
+    gets one threshold per spectrum.
+    """
+    values = np.asarray(eigenvalues, dtype=float)
+    spread = (values[..., -1] - values[..., 0] if values.shape[-1]
+              else np.zeros(values.shape[:-1]))
+    return 1e-8 * np.maximum(spread, 1.0)
 
 
 @dataclass(frozen=True)
@@ -123,36 +152,57 @@ def spectral_resolution(matrix: np.ndarray) -> Observable:
     Eigenvalues closer than ``default_cluster_tol`` (``1e-8 * max(spectral
     spread, 1)``) are merged into a single distinct eigenvalue whose projector
     is the sum over the cluster (the reported eigenvalue is the cluster mean).
+    This is ``spectral_resolutions`` on a stack of one.
     """
-    m = as_complex_matrix(matrix)
-    dim = m.shape[0]
+    return _resolve(_checked_hermitian(matrix)[None])[0]
+
+
+def spectral_resolutions(matrices: np.ndarray) -> list:
+    """Spectral resolutions of a stack ``(n, dim, dim)`` of Hermitian matrices.
+
+    Each entry equals ``spectral_resolution`` of that matrix, bit for bit.
+    The stack is validated once and decomposed by one ``eigh`` call.
+    """
+    m = _checked_hermitian(matrices, stacked=True)
+    if m.ndim != 3:
+        raise ValueError(f"expected a stack of square matrices, got shape {m.shape}")
+    return _resolve(m)
+
+
+def _resolve(m: np.ndarray) -> list:
+    """The spectral-resolution kernel on a validated Hermitian stack ``(n, dim, dim)``.
+
+    A spectrum whose every gap exceeds its cluster threshold gets its rank-one
+    projectors from one einsum over all such spectra; the others are split
+    into clusters one matrix at a time. Projector stacks are C-contiguous, the
+    layout of the per-matrix products (a strided view changes later sums in
+    the last bit).
+    """
+    dim = m.shape[-1]
     _check_dim(dim)
-    values, vectors = eigh(m)
-    cluster_tol = default_cluster_tol(values)
-
-    # Split ascending eigenvalues wherever the gap exceeds the threshold.
-    boundaries = [0]
-    for k in range(1, dim):
-        if values[k] - values[k - 1] > cluster_tol:
-            boundaries.append(k)
-    boundaries.append(dim)
-
-    distinct = []
-    projectors = []
-    multiplicities = []
-    groups = []
-    for start, stop in zip(boundaries[:-1], boundaries[1:]):
-        block = vectors[:, start:stop]
-        distinct.append(values[start:stop].mean())
-        projectors.append(block @ block.conj().T)
-        multiplicities.append(stop - start)
-        groups.append(block)
-
-    return Observable(
-        matrix=m,
-        eigenvalues=np.array(distinct),
-        projectors=np.stack(projectors),
-        multiplicities=tuple(multiplicities),
-        eigenvectors=tuple(groups),
-    )
-
+    values, vectors = np.linalg.eigh(m)
+    # split ascending eigenvalues wherever the gap exceeds the threshold
+    cuts = values[:, 1:] - values[:, :-1] > default_cluster_tol(values)[:, None]
+    simple = cuts.all(axis=-1)
+    isometries = vectors if simple.all() else vectors[simple]
+    rank_one = iter(np.ascontiguousarray(
+        np.einsum("nik,njk->nkij", isometries, isometries.conj())))
+    observables = []
+    for h, vals, vecs, split, nondegenerate in zip(m, values, vectors, cuts, simple):
+        if nondegenerate:
+            observables.append(Observable(
+                matrix=h, eigenvalues=vals, projectors=next(rank_one),
+                multiplicities=(1,) * dim,
+                eigenvectors=tuple(vecs[:, k:k + 1] for k in range(dim))))
+            continue
+        boundaries = [0, *(np.flatnonzero(split) + 1).tolist(), dim]
+        blocks = [vecs[:, start:stop] for start, stop in zip(boundaries[:-1], boundaries[1:])]
+        observables.append(Observable(
+            matrix=h,
+            eigenvalues=np.array([vals[start:stop].mean()
+                                  for start, stop in zip(boundaries[:-1], boundaries[1:])]),
+            projectors=np.stack([block @ block.conj().T for block in blocks]),
+            multiplicities=tuple(block.shape[1] for block in blocks),
+            eigenvectors=tuple(blocks),
+        ))
+    return observables

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, ScenarioError
-from .linalg import Observable, is_hermitian, spectral_resolution
+from .linalg import Observable, spectral_resolution
 from .states import check_density, pure_density
 
 
@@ -92,8 +92,6 @@ def parse_scenario(text: str) -> Scenario:
     observables = {}
     for name, rows in obs_doc.items():
         m = _complex_matrix(rows, dim, f"observables[{name}]")
-        if not is_hermitian(m):
-            raise ScenarioError(f"observable {name!r} is not Hermitian within 1e-8")
         try:
             observables[name] = spectral_resolution(m)
         except ValueError as exc:

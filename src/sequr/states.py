@@ -22,7 +22,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .linalg import Observable, _check_dim, as_complex_matrix, is_hermitian, spectral_resolution
+from .linalg import Observable, _check_dim, _hermitian, as_complex_matrix, spectral_resolution
 
 #: Probabilities in [-NEGATIVE_CLIP, 0) are treated as roundoff and clipped to 0.
 NEGATIVE_CLIP = 1e-12
@@ -55,7 +55,7 @@ def pure_density(vector) -> np.ndarray:
 def check_density(rho: np.ndarray, trace_tol: float = 1e-10, eig_tol: float = 1e-10) -> np.ndarray:
     """Validate a density operator: Hermitian, unit trace, eigenvalues >= -eig_tol."""
     m = as_complex_matrix(rho)
-    if not is_hermitian(m):
+    if not _hermitian(m):
         raise ValueError("density operator is not Hermitian")
     if abs(np.trace(m).real - 1.0) > trace_tol or abs(np.trace(m).imag) > trace_tol:
         raise ValueError(f"density operator trace {np.trace(m):.3g} != 1")

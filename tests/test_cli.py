@@ -368,6 +368,7 @@ class TestLogBase:
 @pytest.mark.parametrize("argv", [
     ["simulate", "zx.json", "--order", "Z", "X", "--samples", str(2**63)],
     ["sweep", "--steps", str(10**13)],
+    ["verify", "--instances", str(10**5 + 1)],
 ])
 def test_oversized_input_rejected(argv, zx_file, monkeypatch, capsys):
     monkeypatch.chdir(pathlib.Path(zx_file).parent)
