@@ -1,9 +1,7 @@
 """Entropic uncertainty bounds for distinct and sequential projective measurements."""
 
 from .bounds import (
-    BoundReport,
     TripleBound,
-    bound_report,
     deutsch_bound,
     is_complementary,
     krishna_parthasarathy_bound,

@@ -95,21 +95,18 @@ def lambda_s_two(a: Observable, b: Observable, config: OptimizerConfig | None = 
     numerically (``config`` seeds that search, 8 starts per subspace
     dimension). Order-dependent: swapping the arguments changes the value.
     """
-    candidates = []
-    for basis, row in zip(a.eigenvectors, _overlap_table(a, b)):
-        if basis.shape[1] == 1:
-            candidates.append(_entropy(row))
-        else:
+    candidates = _entropy(_overlap_table(a, b))
+    for i, basis in enumerate(a.eigenvectors):
+        if basis.shape[1] > 1:
             cfg = replace(config or OptimizerConfig(seed=0),
                           starts=_SUBSPACE_STARTS * basis.shape[1])
-            res = minimize_in_subspace(
+            candidates[i] = minimize_in_subspace(
                 lambda psi: _quadratic_entropy(b.projectors, psi),
                 [basis[:, k] for k in range(basis.shape[1])],
                 cfg,
                 gradient=lambda psi: _quadratic_entropy_gradient(b.projectors, psi),
-            )
-            candidates.append(res.value)
-    return min(candidates)
+            ).value
+    return float(candidates.min())
 
 
 @dataclass(frozen=True)
@@ -138,39 +135,9 @@ def lambda_s_three(a: Observable, b: Observable, c: Observable) -> TripleBound:
     """
     u, v = squared_overlaps(a, b), squared_overlaps(b, c)
     w = u @ v  # row i: distribution of the third outcome from eigenstate i
-    first = np.array([_entropy(row) for row in u])
-    second = np.array([_entropy(row) for row in w])
+    first, second = _entropy(u), _entropy(w)
     return TripleBound(
         stagewise=float(first.min() + second.min()),
         common_state=float((first + second).min()),
         second_stage=float(second.min()),
-    )
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """All closed-form bounds for one ordered pair of observables.
-
-    ``deutsch`` and ``maassen_uffink`` are ``None`` when either spectrum is
-    degenerate (their projector-norm generalizations are always present).
-    """
-
-    deutsch: float | None
-    partovi: float
-    maassen_uffink: float | None
-    krishna_parthasarathy: float
-    lambda_s: float
-
-
-def bound_report(
-    a: Observable, b: Observable, config: OptimizerConfig | None = None
-) -> BoundReport:
-    """Evaluate every analytic bound for the ordered pair (``a``, ``b``)."""
-    nondegenerate = a.is_nondegenerate and b.is_nondegenerate
-    return BoundReport(
-        deutsch=deutsch_bound(a, b) if nondegenerate else None,
-        partovi=partovi_bound(a, b),
-        maassen_uffink=maassen_uffink_bound(a, b) if nondegenerate else None,
-        krishna_parthasarathy=krishna_parthasarathy_bound(a, b),
-        lambda_s=lambda_s_two(a, b, config),
     )

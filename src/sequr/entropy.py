@@ -1,11 +1,10 @@
 """Shannon entropies of measurement outcome distributions, plus the variance relations.
 
 Every entropy is in nats. The ``0 log 0 = 0`` convention is implemented by
-dropping weights at or below ``WEIGHT_FLOOR``, which is the same thing at
-machine precision. Every entropy of a probability vector goes through
-``_entropy``, and every optimizer objective through its row-wise form
-``_quadratic_entropy``; only ``qubit._plane_entropy_sum`` uses
-``scipy.special.entr``.
+giving weights at or below ``WEIGHT_FLOOR`` a zero log term, which is the same
+thing at machine precision. Every entropy in the package goes through the one
+row-wise kernel ``_entropy``, the optimizer objectives included
+(``_quadratic_entropy``).
 """
 
 from __future__ import annotations
@@ -22,29 +21,32 @@ from .states import (TOTAL_TOL, _clip_probabilities, luders_map, outcome_probabi
 WEIGHT_FLOOR = 1e-15
 
 
-def _entropy(p: np.ndarray) -> float:
-    """Entropy -sum p_i log p_i of nonnegative weights.
+def _entropy(p: np.ndarray) -> np.ndarray:
+    """Entropies -sum p_i log p_i of nonnegative weights, row-wise over the last axis.
 
-    Kept private so that tracing public functions adds nothing to the
-    optimizer objectives, which call it on every evaluation. A weight that
-    rounds slightly above 1 would give a tiny negative sum; ``max`` returns its
-    first argument on a tie, so the result is never negative and never ``-0.0``.
+    Weights of shape (..., n) give values of shape (...); a 1-D input gives a
+    0-d array. Each value is bit-equal to the one of its row alone, whatever
+    the layout of ``p``: the log terms are written to a C-order array, so the
+    products are summed row by row in C order. Weights at or below
+    ``WEIGHT_FLOOR`` get a zero log term, so ``log(0)`` is never taken. A
+    weight that rounds slightly above 1 would give a tiny negative sum, so
+    every value is clamped at 0 and is never ``-0.0``. Kept private so that
+    tracing public functions adds nothing to the optimizer objectives, which
+    call it on every evaluation.
     """
-    p = p[p > WEIGHT_FLOOR]
-    return max(0.0, float(-(p * np.log(p)).sum()))
+    log_p = np.log(p, out=np.zeros(p.shape), where=p > WEIGHT_FLOOR)
+    # 0 - x is never -0.0, and fmax maps NaN to 0 like a clamp
+    return np.fmax(0.0 - (p * log_p).sum(axis=-1), 0.0)
 
 
 def _quadratic_entropy(stack: np.ndarray, states: np.ndarray) -> np.ndarray:
     """Entropies of the distributions <psi|M_k|psi> for a stack of operators M_k.
 
-    Row-wise: ``states`` of shape (..., dim) give values of shape (...), each
-    never negative, like ``_entropy``. Weights at or below ``WEIGHT_FLOOR``
-    get a zero log term, so ``log(0)`` is never taken.
+    Row-wise like ``_entropy``: ``states`` of shape (..., dim) give values of
+    shape (...).
     """
-    p = _clip_probabilities(np.einsum("kij,...i,...j->...k", stack, states.conj(), states).real)
-    log_p = np.log(p, out=np.zeros_like(p), where=p > WEIGHT_FLOOR)
-    s = -(p * log_p).sum(axis=-1)
-    return np.where(s > 0.0, s, 0.0)
+    return _entropy(_clip_probabilities(
+        np.einsum("kij,...i,...j->...k", stack, states.conj(), states).real))
 
 
 def _quadratic_entropy_gradient(stack: np.ndarray, state: np.ndarray) -> np.ndarray:
@@ -73,7 +75,7 @@ def shannon_entropy(weights) -> float:
         raise ValueError("weights must lie in [0, 1]")
     if abs(p.sum() - 1.0) > TOTAL_TOL:
         raise ValueError(f"weights sum to {p.sum()!r}, not 1")
-    return _entropy(p)
+    return float(_entropy(p))
 
 
 def entropy_distinct(rho: np.ndarray, obs: Observable) -> float:

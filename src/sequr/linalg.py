@@ -134,7 +134,7 @@ class Observable:
         return basis
 
     def require_same_dim(self, other) -> None:
-        dim = other.shape[0] if isinstance(other, np.ndarray) else other.dim
+        dim = other.shape[-1] if isinstance(other, np.ndarray) else other.dim
         if dim != self.dim:
             raise DimensionMismatch(
                 f"dimension mismatch: {self.dim} vs {dim}"

@@ -23,6 +23,7 @@ from scipy.optimize import minimize as _scipy_minimize
 from .entropy import _quadratic_entropy, _quadratic_entropy_gradient
 from .errors import OptimizerFailure
 from .linalg import Observable
+from .states import luders_map
 
 _NORM_FLOOR = 1e-12
 _PENALTY = 1e30
@@ -204,16 +205,17 @@ def minimize_in_subspace(
 def _sequential_stacks(chain) -> list:
     """Operator stacks whose expectations give each step's outcome distribution.
 
-    Conjugating the k-th observable's projectors with all earlier projector
-    sums moves the collapse maps onto the operators, so every marginal of the
-    sequential measurement is a plain expectation in the initial state.
+    The k-th stack has shape (n_k, d, d), one operator per outcome of the k-th
+    observable: its projectors, mapped by the collapse maps (``luders_map``)
+    of every earlier observable, latest first. This moves the collapses onto
+    the operators, so every marginal of the sequential measurement is a plain
+    expectation in the initial state.
     """
     stacks = []
     for depth, obs in enumerate(chain):
         stack = obs.projectors
         for earlier in reversed(chain[:depth]):
-            ps = earlier.projectors
-            stack = np.einsum("mij,kjl,mln->kin", ps, stack, ps)
+            stack = luders_map(stack, earlier)
         stacks.append(stack)
     return stacks
 

@@ -20,7 +20,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
-from scipy.special import entr
 
 from .entropy import _entropy
 from .linalg import Observable, spectral_resolution
@@ -50,7 +49,7 @@ def spin_observable(n) -> Observable:
 def lambda_s_theta(theta: float) -> float:
     """Optimal sequential bound: binary entropy of cos^2(theta/2). Symmetric about pi/2."""
     p = math.cos(theta / 2.0) ** 2
-    return _entropy(np.array([p, 1.0 - p]))
+    return float(_entropy(np.array([p, 1.0 - p])))
 
 
 def deutsch_theta(theta: float) -> float:
@@ -92,7 +91,11 @@ def _plane_entropy_sum(phi, theta: float):
     Vectorized over ``phi``; period pi in ``phi``.
     """
     half = 0.5 * np.stack([phi, theta - phi])
-    return (entr(np.cos(half) ** 2) + entr(np.sin(half) ** 2)).sum(axis=0)
+    # filled in place: a stack along the last axis costs Brent a copy per step
+    weights = np.empty(half.shape + (2,))
+    np.square(np.cos(half), out=weights[..., 0])
+    np.square(np.sin(half), out=weights[..., 1])
+    return _entropy(weights).sum(axis=0)
 
 
 def _middle_search(theta: float) -> float:

@@ -78,10 +78,11 @@ def outcome_probabilities(rho: np.ndarray, obs: Observable) -> np.ndarray:
 
 
 def luders_map(rho: np.ndarray, obs: Observable) -> np.ndarray:
-    """Non-selective collapse sum_i P(a_i) rho P(a_i).
+    """Non-selective collapse sum_i P(a_i) rho P(a_i), of one operator or of a stack.
 
-    The output commutes with every eigenprojector of ``obs`` and is again a
-    valid density operator.
+    ``rho`` is one (d, d) operator or a stack of shape (..., d, d), mapped
+    matrix by matrix. The output commutes with every eigenprojector of
+    ``obs``; a density operator maps to a density operator.
     """
     obs.require_same_dim(rho)
     out = np.zeros_like(np.asarray(rho, dtype=complex))

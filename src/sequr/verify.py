@@ -2,8 +2,8 @@
 
 Each property draws a seeded ensemble of states and observables, evaluates an
 identity or inequality the library must satisfy, and reports the worst margin
-seen (a negative margin fails, tolerances already folded in). Output is fully
-deterministic for a fixed seed, so reruns are byte-identical.
+seen (a negative or NaN margin fails, tolerances already folded in). Output is
+fully deterministic for a fixed seed, so reruns are byte-identical.
 
 A property runs as array code: it draws up to ``STACK_INSTANCES`` instances at
 a time, in the order a one-at-a-time loop would draw them, then stacks the
@@ -49,15 +49,21 @@ class PropertyResult:
     detail: str = ""  # counterexample context for the worst margin
 
 
+def _rank(margin):
+    """Sort key of a margin: NaN ranks below every number."""
+    return -math.inf if math.isnan(margin) else margin
+
+
 def _result(name: str, checked: int, margins, describe) -> PropertyResult:
     """Result of a stream of ``(margin, where)`` pairs.
 
-    The smallest margin is kept, the first one on a tie. ``describe(where)``
-    formats the counterexample and runs only when that margin is negative.
+    The smallest margin is kept, the first one on a tie. NaN fails and ranks
+    below every number; ``inf`` means no such check. ``describe(where)``
+    formats the counterexample and runs only when the property fails.
     """
     worst, where = math.inf, None
     for margin, at in margins:
-        if margin < worst:
+        if _rank(margin) < _rank(worst):
             worst, where = float(margin), at
     ok = worst >= 0.0
     return PropertyResult(name, ok, checked, worst, "" if ok else describe(where))
@@ -83,12 +89,12 @@ def _worst_per_group(indices, dim, arrays, checks):
     """The first smallest margin of one stacked group as a ``(margin, where)`` pair.
 
     ``checks`` are ``(margins, label)`` pairs in check order, one margin per
-    instance; NaN never counts as smaller, as in ``_result``.
+    instance; NaN ranks below every number, as in ``_result``.
     """
     margins = np.column_stack([m for m, _ in checks])
-    margins = np.where(np.isnan(margins), math.inf, margins)
-    row = int(np.argmin(margins.min(axis=1)))
-    col = int(np.argmin(margins[row]))
+    ranks = np.where(np.isnan(margins), -math.inf, margins)
+    row = int(np.argmin(ranks.min(axis=1)))
+    col = int(np.argmin(ranks[row]))
     where = (checks[col][1], indices[row], dim,
              {key: value[row] for key, value in arrays.items()})
     return margins[row, col], where

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from sequr.bounds import (
-    bound_report,
     deutsch_bound,
     is_complementary,
     krishna_parthasarathy_bound,
@@ -272,19 +271,22 @@ class TestSecondStage:
 
 
 class TestBoundReport:
+    """The bounds ``sequr bounds`` reports for one ordered pair, side by side."""
+
     def test_nondegenerate_report_consistency(self, sigma_z):
         b = tilted_spin(55)
-        report = bound_report(sigma_z, b)
-        assert report.deutsch == pytest.approx(report.partovi, abs=1e-12)
-        assert report.maassen_uffink == pytest.approx(
-            report.krishna_parthasarathy, abs=1e-12
-        )
-        assert report.lambda_s >= report.maassen_uffink - 1e-9
-        assert report.krishna_parthasarathy >= report.partovi - 1e-9
+        kp = krishna_parthasarathy_bound(sigma_z, b)
+        mu = maassen_uffink_bound(sigma_z, b)
+        partovi = partovi_bound(sigma_z, b)
+        assert deutsch_bound(sigma_z, b) == pytest.approx(partovi, abs=1e-12)
+        assert mu == pytest.approx(kp, abs=1e-12)
+        assert lambda_s_two(sigma_z, b) >= mu - 1e-9
+        assert kp >= partovi - 1e-9
 
     def test_degenerate_report_drops_overlap_bounds(self, sigma_x):
         eye = spectral_resolution(np.eye(2, dtype=complex))
-        report = bound_report(eye, sigma_x)
-        assert report.deutsch is None
-        assert report.maassen_uffink is None
-        assert report.partovi == pytest.approx(0.0, abs=1e-12)
+        with pytest.raises(ValueError, match="degenerate spectrum"):
+            deutsch_bound(eye, sigma_x)
+        with pytest.raises(ValueError, match="degenerate spectrum"):
+            maassen_uffink_bound(eye, sigma_x)
+        assert partovi_bound(eye, sigma_x) == pytest.approx(0.0, abs=1e-12)

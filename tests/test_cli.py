@@ -10,6 +10,8 @@ import pytest
 
 from sequr import bounds, qubit
 from sequr.cli import main
+from sequr.linalg import spectral_resolution
+from sequr.states import random_hermitian
 
 ZX_DOC = {
     "dim": 2,
@@ -154,6 +156,60 @@ class TestBounds:
 
         monkeypatch.setattr(cli, "lambda_d_numeric", boom)
         assert main(["bounds", zx_file, "--order", "Z", "X"]) == 4
+
+    def test_search_miss_is_reported_not_violated(self, tmp_path, capsys):
+        # with one start, the dim-6 search stops at 1.66023, above lambda_s = 1.46958
+        rng = np.random.default_rng(0)
+        doc = {"dim": 6, "observables": {
+            name: [[[z.real, z.imag] for z in row] for row in random_hermitian(6, rng)]
+            for name in "AB"}}
+        path = tmp_path / "miss.json"
+        path.write_text(json.dumps(doc))
+        argv = ["bounds", str(path), "--order", "A", "B", "--starts", "1"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "check: lambda_s_numeric >= lambda_s: ok" in out
+        assert "search miss: lambda_s_numeric is 0.190658 above lambda_s" in out
+        assert "VIOLATED" not in out
+        assert main(argv + ["--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert all(payload["checks"].values())
+        assert payload["search_misses"] == {
+            "lambda_s_numeric": {"above": "lambda_s", "gap": 0.190658}}
+
+    @pytest.mark.parametrize("scenario, order, numeric, floor, check", [
+        ("zx", ["Z", "X"], "lambda_s_numeric", "lambda_s_two",
+         "lambda_s_numeric >= lambda_s"),
+        ("zx", ["Z", "X", "Z"], "lambda_s3_numeric", None,
+         "lambda_s3_numeric >= common_state"),
+        ("deg", ["P", "Q"], "lambda_s_numeric", "krishna_parthasarathy_bound",
+         "lambda_s_numeric >= krishna_parthasarathy"),
+    ])
+    def test_numeric_value_below_closed_form_is_violation(
+            self, scenario, order, numeric, floor, check, tmp_path, monkeypatch, capsys):
+        from sequr import cli
+        from sequr.optimize import OptimizerResult
+
+        doc = {"zx": ZX_DOC, "deg": DEGENERATE_DOC}[scenario]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        observables = [spectral_resolution(np.array(
+            [[complex(*z) for z in row] for row in doc["observables"][name]]))
+            for name in order]
+        closed = (bounds.lambda_s_three(*observables).common_state if floor is None
+                  else getattr(bounds, floor)(*observables))
+
+        def below(*args, **kwargs):
+            value = closed - 1e-2
+            return OptimizerResult(value=value, minimizer=np.eye(doc["dim"])[0],
+                                   starts_converged=1, per_start_values=(value,),
+                                   evaluations=1)
+
+        monkeypatch.setattr(cli, numeric, below)
+        assert main(["bounds", str(path), "--order", *order, "--starts", "2"]) == 1
+        out = capsys.readouterr().out
+        assert f"check: {check}: VIOLATED" in out
+        assert "search miss" not in out
 
 
 class TestTable1:

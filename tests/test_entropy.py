@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sequr.entropy import (
+    _entropy,
     entropies_sequential,
     entropies_sequential_3,
     entropy_distinct,
@@ -44,6 +45,21 @@ class TestShannonEntropy:
             value = shannon_entropy([weight, 0.0])
             assert value == 0.0
             assert math.copysign(1.0, value) == 1.0
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 17])
+    def test_row_wise_kernel_equals_row_calls(self, n):
+        # zero, sub-floor and rounded-above-1 weights in some rows; n >= 8 rows
+        # take numpy's pairwise sum, and no layout of the stack may change it
+        p = np.random.default_rng(n).dirichlet(np.ones(n), size=(3, 4))
+        p[0, 0, :n // 2] = 0.0
+        p[0, 1, 0] = 1e-16
+        p[1, 2] = np.eye(n)[0] * (1.0 + 2.0**-52)
+        for stack in (p, p[0], p.transpose(1, 0, 2), np.asfortranarray(p)):
+            values = _entropy(stack)
+            assert values.shape == stack.shape[:-1]
+            assert not np.signbit(values).any()
+            for index in np.ndindex(stack.shape[:-1]):
+                assert values[index] == _entropy(stack[index])  # a row view, strided if F order
 
 
 class TestEntropyDistinct:

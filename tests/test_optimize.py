@@ -223,6 +223,28 @@ class TestLambdaS3Numeric:
         result = lambda_s3_numeric(sigma_z, b, b, OptimizerConfig(starts=12, seed=2))
         assert result.value == pytest.approx(0.722, abs=1e-3)
 
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_sequential_stacks_match_einsum_reference(self, dim):
+        def reference(chain):
+            # each earlier projector sum conjugates the stack, latest first
+            stacks = []
+            for depth, obs in enumerate(chain):
+                stack = obs.projectors
+                for earlier in reversed(chain[:depth]):
+                    ps = earlier.projectors
+                    stack = np.einsum("mij,kjl,mln->kin", ps, stack, ps)
+                stacks.append(stack)
+            return stacks
+
+        rng = np.random.default_rng(dim)
+        a, b, c = (random_observable(dim, rng) for _ in range(3))
+        middle = spectral_resolution(np.diag(np.arange(dim) // 2).astype(complex))
+        for chain in ([a, b], [a, b, c], [a, middle, c], [c, a, b, a]):
+            got, want = optimize._sequential_stacks(chain), reference(chain)
+            assert [s.shape for s in got] == [s.shape for s in want]
+            for g, w in zip(got, want):
+                assert np.abs(g - w).max() <= 1e-15
+
 
 def wirtinger_differences(f, psi, h=1e-6):
     """Central-difference dF/dpsi-bar = (dF/dx + i dF/dy) / 2, component by component."""

@@ -40,6 +40,21 @@ class TestLudersMap:
     def test_dimension_mismatch(self, sigma_z):
         with pytest.raises(DimensionMismatch):
             luders_map(np.eye(3) / 3, sigma_z)
+        # a stack is checked on its trailing axis, not on its length
+        with pytest.raises(DimensionMismatch):
+            luders_map(np.zeros((2, 3, 3)), sigma_z)
+        assert luders_map(np.zeros((3, 2, 2)), sigma_z).shape == (3, 2, 2)
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_stack_equals_per_matrix_calls(self, dim):
+        rng = np.random.default_rng(dim)
+        stack = np.stack([random_hermitian(dim, rng) for _ in range(6)]).reshape(2, 3, dim, dim)
+        degenerate = spectral_resolution(np.diag(np.arange(dim) // 2).astype(complex))
+        for obs in (random_observable(dim, rng), degenerate):
+            mapped = luders_map(stack, obs)
+            assert mapped.shape == stack.shape
+            for index in np.ndindex(stack.shape[:-2]):
+                assert np.array_equal(mapped[index], luders_map(stack[index], obs))
 
 
 class TestWignerJoint:

@@ -8,6 +8,7 @@ margins must stay those of the one-instance-at-a-time runner they replaced.
 import csv
 import io
 import json
+import math
 import pathlib
 
 import numpy as np
@@ -151,13 +152,22 @@ class TestWorstMargin:
         assert result.worst == -3.0
         assert result.detail.startswith("second instance 3 dim 3")
 
-    def test_nan_and_missing_checks_never_count(self):
+    def test_nan_fails_and_missing_checks_never_count(self):
         inf, nan = float("inf"), float("nan")
         prop = _stub_property({2: [[nan, inf], [0.25, nan], [inf, inf]],
                                3: [[nan, 0.75], [inf, 0.5]]})
         result = prop(7, 5, (2, 3))
-        assert (result.ok, result.worst, result.detail) == (True, 0.25, "")
-        assert _stub_property({2: [[inf, nan]] * 3, 3: [[nan, inf]] * 2})(7, 5, (2, 3)).worst \
+        assert not result.ok and math.isnan(result.worst)
+        assert result.detail.startswith("first instance 0 dim 2")
+        # NaN ranks below every number, so it beats a negative margin of an earlier instance
+        prop = _stub_property({2: [[-1, 0.5], [0.5, nan], [0.5, 0.5]],
+                               3: [[0.5, 0.5], [0.5, 0.5]]})
+        result = prop(7, 5, (2, 3))
+        assert not result.ok and math.isnan(result.worst)
+        assert result.detail.startswith("second instance 2 dim 2")
+        result = _stub_property({2: [[inf, 0.5]] * 3, 3: [[inf, inf]] * 2})(7, 5, (2, 3))
+        assert (result.ok, result.worst, result.detail) == (True, 0.5, "")
+        assert _stub_property({2: [[inf, inf]] * 3, 3: [[inf, inf]] * 2})(7, 5, (2, 3)).worst \
             == float("inf")
 
 
