@@ -1,10 +1,11 @@
 """Entropic uncertainty bounds for distinct and sequential projective measurements."""
 
 from .bounds import (
-    TripleBound,
+    ChainBound,
     deutsch_bound,
     is_complementary,
     krishna_parthasarathy_bound,
+    lambda_s_chain,
     lambda_s_three,
     lambda_s_two,
     maassen_uffink_bound,
@@ -26,7 +27,7 @@ from .optimize import (
     OptimizerConfig,
     OptimizerResult,
     lambda_d_numeric,
-    lambda_s3_numeric,
+    lambda_s_chain_numeric,
     lambda_s_numeric,
     minimize_in_subspace,
     minimize_over_pure_states,

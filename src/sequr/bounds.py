@@ -1,11 +1,12 @@
 """Closed-form lower bounds on entropic uncertainty sums, in nats.
 
 Distinct-ensemble bounds (Deutsch, Partovi, Maassen-Uffink, Krishna-Parthasarathy)
-and the optimal sequential bounds, which minimize the later entropies over
-eigenstates of the first observable, so measurement order matters. The closed
-forms read the table c[i, j] = ||P_A(a_i) P_B(b_j)||^2 of the eigenprojectors of
-A and B, built on the isometries of ``states._chain_overlaps``. Two projectors
-have ||P + Q|| = 1 + ||PQ||; for nondegenerate spectra c[i, j] = |<a_i|b_j>|^2.
+and the optimal sequential bound of a chain of any length (``lambda_s_chain``),
+which minimizes the later entropies over eigenstates of the first observable,
+so measurement order matters. The distinct-ensemble bounds read the table
+c[i, j] = ||P_A(a_i) P_B(b_j)||^2 of the eigenprojectors of A and B, built on
+the isometries of ``states._chain_overlaps``. Two projectors have
+||P + Q|| = 1 + ||PQ||; for nondegenerate spectra c[i, j] = |<a_i|b_j>|^2.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .entropy import _entropy, _quadratic_entropy, _quadratic_entropy_gradient
+from .entropy import _quadratic_entropy, _quadratic_entropy_gradient
 from .linalg import Observable
-from .optimize import OptimizerConfig, minimize_in_subspace
+from .optimize import OptimizerConfig, _sequential_stacks, minimize_in_subspace
 from .states import _chain_overlaps
 
 #: Starts per subspace dimension when a degenerate eigenspace needs a search.
@@ -86,39 +87,12 @@ def is_complementary(a: Observable, b: Observable, tol: float = 1e-9) -> bool:
     return bool(np.abs(squared_overlaps(a, b) - 1.0 / a.dim).max() <= tol)
 
 
-def lambda_s_two(a: Observable, b: Observable, config: OptimizerConfig | None = None) -> float:
-    """Optimal bound on the entropy sum when ``a`` is measured before ``b``.
-
-    Equals the smallest entropy the ``b``-distribution can have in an
-    eigenstate of ``a``. For a nondegenerate ``a`` this is a minimum over its
-    eigenvectors in closed form; a degenerate eigenspace is searched
-    numerically (``config`` seeds that search, 8 starts per subspace
-    dimension). Order-dependent: swapping the arguments changes the value.
-    """
-    candidates = _entropy(_overlap_table(a, b))
-    for i, basis in enumerate(a.eigenvectors):
-        if basis.shape[1] > 1:
-            cfg = replace(config or OptimizerConfig(seed=0),
-                          starts=_SUBSPACE_STARTS * basis.shape[1])
-            candidates[i] = minimize_in_subspace(
-                lambda psi: _quadratic_entropy(b.projectors, psi),
-                [basis[:, k] for k in range(basis.shape[1])],
-                cfg,
-                gradient=lambda psi: _quadratic_entropy_gradient(b.projectors, psi),
-            ).value
-    return float(candidates.min())
-
-
 @dataclass(frozen=True)
-class TripleBound:
-    """Sequential-measurement bound data for a three-observable chain.
-
-    ``stagewise`` minimizes the second- and third-stage entropies over
-    independent choices of the initial eigenstate and adds the results;
-    ``common_state`` ties both stages to one initial eigenstate and is what an
-    unconstrained minimization over states attains, so
-    ``common_state >= stagewise`` always. ``second_stage`` is the third
-    observable's entropy bound alone.
+class ChainBound:
+    """Sequential bound data of a chain: ``stagewise`` adds each later entropy's own
+    minimum over initial eigenstates; ``common_state`` ties every stage to one
+    eigenstate and is what an unconstrained minimization over states attains, so
+    ``common_state >= stagewise``. ``second_stage`` is the last observable's bound alone.
     """
 
     stagewise: float
@@ -126,18 +100,44 @@ class TripleBound:
     second_stage: float
 
 
-def lambda_s_three(a: Observable, b: Observable, c: Observable) -> TripleBound:
-    """Optimal bound data for the sequence ``a``, ``b``, ``c`` (nondegenerate spectra).
+def lambda_s_chain(chain, config: OptimizerConfig | None = None) -> ChainBound:
+    """Optimal bound data for measuring the observables of ``chain`` in order.
 
-    The first-stage term is the two-observable bound for (``a``, ``b``); the
-    second-stage term applies the overlap transition of (``b``, ``c``) to the
-    first-stage distributions before taking entropies.
+    From eigenvector a_i of the first observable, stage k has the entropy
+    H(<a_i|S_k|a_i>), where the S_k are the ``_sequential_stacks`` of the later
+    observables, so any of those may be degenerate. For a pair, a
+    degenerate eigenspace of the first observable is searched numerically
+    (``config`` seeds that search, 8 starts per subspace dimension); a longer
+    chain needs a nondegenerate first observable. Order-dependent: reordering
+    the chain changes the value.
     """
-    u, v = squared_overlaps(a, b), squared_overlaps(b, c)
-    w = u @ v  # row i: distribution of the third outcome from eigenstate i
-    first, second = _entropy(u), _entropy(w)
-    return TripleBound(
-        stagewise=float(first.min() + second.min()),
-        common_state=float((first + second).min()),
-        second_stage=float(second.min()),
-    )
+    first, *later = chain
+    if len(later) > 1 and not first.is_nondegenerate:
+        raise ValueError("first observable has a degenerate spectrum; a chain of three "
+                         "or more needs a nondegenerate one")
+    first.require_same_dim(later[0])
+    stacks = _sequential_stacks(later)
+    stages = np.array([_quadratic_entropy(stack, first.eigenbasis().T) for stack in stacks])
+    start = 0
+    for basis in first.eigenvectors:
+        k = basis.shape[1]
+        if k > 1:
+            cfg = replace(config or OptimizerConfig(seed=0), starts=_SUBSPACE_STARTS * k)
+            stages[:, start:start + k] = minimize_in_subspace(
+                lambda psi: _quadratic_entropy(stacks[0], psi), basis.T, cfg,
+                gradient=lambda psi: _quadratic_entropy_gradient(stacks[0], psi),
+            ).value
+        start += k
+    return ChainBound(stagewise=float(stages.min(axis=1).sum()),
+                      common_state=float(stages.sum(axis=0).min()),
+                      second_stage=float(stages[-1].min()))
+
+
+def lambda_s_two(a: Observable, b: Observable, config: OptimizerConfig | None = None) -> float:
+    """``lambda_s_chain([a, b], config).common_state``; kept because the benchmark binds it."""
+    return lambda_s_chain([a, b], config).common_state
+
+
+def lambda_s_three(a: Observable, b: Observable, c: Observable) -> ChainBound:
+    """``lambda_s_chain([a, b, c])``; kept because the benchmark binds it."""
+    return lambda_s_chain([a, b, c])

@@ -21,11 +21,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from .bounds import (deutsch_bound, krishna_parthasarathy_bound, lambda_s_three, lambda_s_two,
+from .bounds import (deutsch_bound, krishna_parthasarathy_bound, lambda_s_chain, lambda_s_two,
                      maassen_uffink_bound, partovi_bound)
 from .entropy import _entropy, shannon_entropy
 from .errors import DimensionMismatch, OptimizerFailure, ScenarioError
-from .optimize import OptimizerConfig, lambda_d_numeric, lambda_s3_numeric, lambda_s_numeric
+from .optimize import OptimizerConfig, lambda_d_numeric, lambda_s_chain_numeric, lambda_s_numeric
 from .qubit import curve_point, table1
 from .scenario import load_scenario
 from .states import outcome_probabilities, sample_sequence, wigner_joint
@@ -64,6 +64,9 @@ MAX_SWEEP_STEPS = 10**5
 
 #: Most instances one ``verify`` draws per property.
 MAX_VERIFY_INSTANCES = 10**5
+
+#: Ordinal of each position in a chain; its length caps ``bounds --order``.
+_ORDINALS = ("first", "second", "third", "fourth", "fifth", "sixth")
 
 
 def _fmt(x: float) -> str:
@@ -133,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="compute all bounds for observables in a scenario file")
     p.add_argument("file")
     p.add_argument("--order", nargs="+", required=True, metavar="NAME",
-                   help="2 or 3 observable names, in measurement order")
+                   help=f"2 to {len(_ORDINALS)} observable names, in measurement order")
     p.add_argument("--starts", type=int, default=64)
     _common_flags(p, seed_default=0)
     p.set_defaults(func=cmd_bounds)
@@ -170,8 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_bounds(args) -> int:
     ln_base = math.log(_parse_log_base(args.log_base))
-    if len(args.order) not in (2, 3):
-        raise ScenarioError("--order needs exactly 2 or 3 observable names")
+    if not 2 <= len(args.order) <= len(_ORDINALS):
+        raise ScenarioError(f"--order needs 2 to {len(_ORDINALS)} observable names")
     if args.starts < 1:
         raise ScenarioError("--starts must be >= 1")
     scenario = load_scenario(args.file)
@@ -205,20 +208,20 @@ def cmd_bounds(args) -> int:
                   for value, floor, tol in floors}
         search = ("lambda_s_numeric", "lambda_s", 1e-4)
     else:
-        a, b, c = observables
-        triple = lambda_s_three(a, b, c)
-        numeric = lambda_s3_numeric(a, b, c, config).value
+        bound = lambda_s_chain(observables)
+        numeric = lambda_s_chain_numeric(observables, config).value
+        name = f"lambda_s{len(observables)}"
         values = {
-            "lambda_s3_stagewise": triple.stagewise,
-            "lambda_s3_common_state": triple.common_state,
-            "third_stage_bound": triple.second_stage,
-            "lambda_s3_numeric": numeric,
+            f"{name}_stagewise": bound.stagewise,
+            f"{name}_common_state": bound.common_state,
+            f"{_ORDINALS[len(observables) - 1]}_stage_bound": bound.second_stage,
+            f"{name}_numeric": numeric,
         }
         checks = {
-            "common_state >= stagewise": triple.common_state >= triple.stagewise - 1e-9,
-            "lambda_s3_numeric >= common_state": numeric >= triple.common_state - 1e-3,
+            "common_state >= stagewise": bound.common_state >= bound.stagewise - 1e-9,
+            f"{name}_numeric >= common_state": numeric >= bound.common_state - 1e-3,
         }
-        search = ("lambda_s3_numeric", "lambda_s3_common_state", 1e-3)
+        search = (f"{name}_numeric", f"{name}_common_state", 1e-3)
     # a multistart search bounds its infimum only from above: stopping above
     # the closed form is a miss of the search, reported but not a violation
     numeric_name, closed_name, tol = search

@@ -244,16 +244,10 @@ def lambda_d_numeric(a: Observable, b: Observable,
 
 def lambda_s_numeric(a: Observable, b: Observable,
                      config: OptimizerConfig | None = None) -> OptimizerResult:
-    """Optimal sequential bound for two observables, found numerically."""
-    a.require_same_dim(b)
-    config = config or OptimizerConfig()
-    return _lambda_result(_sequential_stacks([a, b]), a.dim, config)
+    """``lambda_s_chain_numeric([a, b], config)``; kept because the benchmark binds it."""
+    return lambda_s_chain_numeric([a, b], config)
 
 
-def lambda_s3_numeric(a: Observable, b: Observable, c: Observable,
-                      config: OptimizerConfig | None = None) -> OptimizerResult:
-    """Optimal sequential bound for a three-observable chain, found numerically."""
-    a.require_same_dim(b)
-    a.require_same_dim(c)
-    config = config or OptimizerConfig()
-    return _lambda_result(_sequential_stacks([a, b, c]), a.dim, config)
+def lambda_s_chain_numeric(chain, config: OptimizerConfig | None = None) -> OptimizerResult:
+    """Optimal sequential bound for a chain of observables, found numerically."""
+    return _lambda_result(_sequential_stacks(chain), chain[0].dim, config or OptimizerConfig())

@@ -65,8 +65,8 @@ def check_density(rho: np.ndarray, trace_tol: float = 1e-10, eig_tol: float = 1e
 
 
 def _clip_probabilities(p: np.ndarray) -> np.ndarray:
-    if p.min() < -NEGATIVE_CLIP:
-        raise ValueError(f"probability {p.min():.3g} below clip tolerance")
+    if not p.min() >= -NEGATIVE_CLIP:  # NaN fails too
+        raise ValueError(f"probability {p.min():.3g} below clip tolerance or not a number")
     return np.clip(p, 0.0, None)
 
 

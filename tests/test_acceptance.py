@@ -13,7 +13,7 @@ import pytest
 from sequr.bounds import (
     is_complementary,
     krishna_parthasarathy_bound,
-    lambda_s_three,
+    lambda_s_chain,
     lambda_s_two,
     maassen_uffink_bound,
     partovi_bound,
@@ -26,7 +26,8 @@ from sequr.entropy import (
     variance_relations,
 )
 from sequr.linalg import operator_norm, spectral_resolution
-from sequr.optimize import OptimizerConfig, lambda_d_numeric, lambda_s3_numeric, lambda_s_numeric
+from sequr.optimize import (OptimizerConfig, lambda_d_numeric, lambda_s_chain_numeric,
+                            lambda_s_numeric)
 from sequr.qubit import (
     curve_point,
     sanchez_ruiz_theta,
@@ -271,12 +272,12 @@ def test_acceptance_10_triple_chain_bound():
         a = random_observable(dim, seed=11000 + i)
         b = random_observable(dim, seed=11500 + i)
         c = random_observable(dim, seed=12000 + i)
-        triple = lambda_s_three(a, b, c)
+        triple = lambda_s_chain([a, b, c])
         assert triple.common_state >= triple.stagewise - 1e-12
 
         assert triple.second_stage >= lambda_s_two(a, b) - 1e-9
 
-        numeric = lambda_s3_numeric(a, b, c, OptimizerConfig(starts=16, seed=321 + i))
+        numeric = lambda_s_chain_numeric([a, b, c], OptimizerConfig(starts=16, seed=321 + i))
         gap = abs(numeric.value - triple.common_state)
         worst_gap = max(worst_gap, gap)
         if triple.common_state - triple.stagewise > 1e-3:

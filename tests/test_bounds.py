@@ -7,16 +7,20 @@ from sequr.bounds import (
     deutsch_bound,
     is_complementary,
     krishna_parthasarathy_bound,
+    lambda_s_chain,
     lambda_s_three,
     lambda_s_two,
     maassen_uffink_bound,
     partovi_bound,
     squared_overlaps,
 )
-from sequr.entropy import entropies_sequential, shannon_entropy
+from sequr.entropy import _quadratic_entropy, entropies_sequential, shannon_entropy
+from sequr.errors import DimensionMismatch
 from sequr.linalg import operator_norm, spectral_resolution
+from sequr.optimize import OptimizerConfig, _sequential_stacks, lambda_s_chain_numeric
 from sequr.qubit import spin_observable
-from sequr.states import pure_density, random_hermitian, random_observable, random_state
+from sequr.states import (pure_density, random_hermitian, random_observable, random_state,
+                          wigner_joint)
 
 
 def tilted_spin(deg):
@@ -230,6 +234,49 @@ class TestTripleBound:
         eye = spectral_resolution(np.eye(2, dtype=complex))
         with pytest.raises(ValueError, match="degenerate"):
             lambda_s_three(eye, sigma_z, sigma_x)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    @pytest.mark.parametrize("length", [2, 3, 4, 5])
+    def test_stage_entropies_match_wigner_joint(self, length, dim):
+        # oracle: marginal entropies of the joint table of each first eigenvector,
+        # built on the isometry blocks instead of the collapsed operator stacks
+        rng = np.random.default_rng(100 * length + dim)
+        degenerate = (2, dim - 2) if dim > 2 else (2,)
+        chain = [random_observable(dim, rng) for _ in range(length)]
+        chain[1] = eigenspace_observable(degenerate, 10 * length + dim)
+        chain[-1] = eigenspace_observable(degenerate, 20 * length + dim)
+        vectors = chain[0].eigenbasis().T
+        rows = np.array([[shannon_entropy(p) for p in
+                          wigner_joint(pure_density(v), *chain).marginals()[1:]]
+                         for v in vectors])
+        stages = np.array([_quadratic_entropy(stack, vectors)
+                           for stack in _sequential_stacks(chain[1:])]).T
+        assert np.abs(stages - rows).max() <= 1e-12
+        bound = lambda_s_chain(chain)
+        assert bound.stagewise == pytest.approx(rows.min(axis=0).sum(), abs=1e-12)
+        assert bound.common_state == pytest.approx(rows.sum(axis=1).min(), abs=1e-12)
+        assert bound.second_stage == pytest.approx(rows[:, -1].min(), abs=1e-12)
+
+    def test_search_never_below_common_state_on_4_chains(self):
+        for i in range(24):
+            dim = 2 + i % 3
+            chain = [random_observable(dim, seed=1740 + 4 * i + k) for k in range(4)]
+            found = lambda_s_chain_numeric(chain, OptimizerConfig(starts=16, seed=i)).value
+            assert found >= lambda_s_chain(chain).common_state - 1e-9
+
+    def test_mixed_dimensions_refused(self, sigma_z, sigma_x):
+        c = random_observable(3, seed=1940)
+        for chain in ([sigma_z, c], [sigma_z, sigma_x, c], [c, sigma_z, sigma_x]):
+            with pytest.raises(DimensionMismatch):
+                lambda_s_chain(chain)
+            with pytest.raises(DimensionMismatch):
+                lambda_s_chain_numeric(chain, OptimizerConfig(starts=1))
+
+    def test_degenerate_middle_matches_search(self):
+        a, c = random_observable(4, seed=1840), random_observable(4, seed=1841)
+        chain = [a, eigenspace_observable((2, 2), 1842), c]
+        found = lambda_s_chain_numeric(chain, OptimizerConfig(starts=16, seed=3)).value
+        assert found == pytest.approx(lambda_s_chain(chain).common_state, abs=1e-6)
 
 
 class TestComplementarity:

@@ -35,6 +35,7 @@ GOLDEN_CASES = {
     "bounds-zx-triple": ["bounds", "zx.json", "--order", "Z", "X", "Z", "--starts", "8"],
     "bounds-zz-pair": ["bounds", "zz.json", "--order", "Z", "Z2", "--starts", "8"],
     "bounds-zz-triple": ["bounds", "zz.json", "--order", "Z", "Z2", "Z", "--starts", "8"],
+    "bounds-zx-chain4": ["bounds", "zx.json", "--order", "Z", "X", "Z", "X", "--starts", "8"],
     "table1": ["table1"],
     "sweep": ["sweep", "--theta-min", "0", "--theta-max", "180", "--steps", "7"],
     "verify": ["verify", "--instances", "4", "--dims", "2-3", "--seed", "9"],
@@ -134,6 +135,23 @@ class TestBounds:
     def test_wrong_order_count(self, zx_file, capsys):
         assert main(["bounds", zx_file, "--order", "Z"]) == 2
 
+    def test_long_order_refused_before_reading_the_file(self, capsys):
+        assert main(["bounds", "/no/such/file.json", "--order", *"ZXZXZXZ"]) == 2
+        assert "--order needs 2 to 6 observable names" in capsys.readouterr().err
+
+    def test_degenerate_observables_in_chains(self, tmp_path, capsys):
+        # P is degenerate: accepted in the middle and last places, refused first
+        path = tmp_path / "deg.json"
+        path.write_text(json.dumps(DEGENERATE_DOC))
+        for order, last in ((["Q", "P", "Q"], "third"), (["Q", "Q", "P", "P"], "fourth")):
+            code = main(["bounds", str(path), "--order", *order, "--starts", "8"])
+            out = capsys.readouterr().out
+            assert code == 0
+            assert f"check: lambda_s{len(order)}_numeric >= common_state: ok" in out
+            assert f"{last}_stage_bound" in out
+        assert main(["bounds", str(path), "--order", "P", "Q", "P"]) == 2
+        assert "degenerate spectrum" in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         assert main(["bounds", "/no/such/file.json", "--order", "Z", "X"]) == 2
 
@@ -180,7 +198,7 @@ class TestBounds:
     @pytest.mark.parametrize("scenario, order, numeric, floor, check", [
         ("zx", ["Z", "X"], "lambda_s_numeric", "lambda_s_two",
          "lambda_s_numeric >= lambda_s"),
-        ("zx", ["Z", "X", "Z"], "lambda_s3_numeric", None,
+        ("zx", ["Z", "X", "Z"], "lambda_s_chain_numeric", None,
          "lambda_s3_numeric >= common_state"),
         ("deg", ["P", "Q"], "lambda_s_numeric", "krishna_parthasarathy_bound",
          "lambda_s_numeric >= krishna_parthasarathy"),
@@ -196,7 +214,7 @@ class TestBounds:
         observables = [spectral_resolution(np.array(
             [[complex(*z) for z in row] for row in doc["observables"][name]]))
             for name in order]
-        closed = (bounds.lambda_s_three(*observables).common_state if floor is None
+        closed = (bounds.lambda_s_chain(observables).common_state if floor is None
                   else getattr(bounds, floor)(*observables))
 
         def below(*args, **kwargs):

@@ -32,6 +32,9 @@ class TestShannonEntropy:
             shannon_entropy([0.5, 0.6])
         with pytest.raises(ValueError):
             shannon_entropy([1.5, -0.5])
+        for weights in ([math.nan, 0.5], [math.nan, 1.0], [0.5, 0.5, math.nan]):
+            with pytest.raises(ValueError, match="not a number"):
+                shannon_entropy(weights)
 
     def test_tiny_weights_never_produce_nan(self):
         value = shannon_entropy([1.0 - 1e-16, 1e-16])

@@ -11,7 +11,7 @@ from sequr.optimize import (
     OptimizerConfig,
     OptimizerResult,
     lambda_d_numeric,
-    lambda_s3_numeric,
+    lambda_s_chain_numeric,
     lambda_s_numeric,
     minimize_in_subspace,
     minimize_over_pure_states,
@@ -209,18 +209,18 @@ class TestLambdaSNumeric:
 
 class TestLambdaS3Numeric:
     def test_all_equal(self, sigma_z):
-        result = lambda_s3_numeric(sigma_z, sigma_z, sigma_z,
-                                   OptimizerConfig(starts=12, seed=2))
+        result = lambda_s_chain_numeric([sigma_z, sigma_z, sigma_z],
+                                        OptimizerConfig(starts=12, seed=2))
         assert result.value == pytest.approx(0.0, abs=1e-6)
 
     def test_zxz(self, sigma_z, sigma_x):
-        result = lambda_s3_numeric(sigma_z, sigma_x, sigma_z,
-                                   OptimizerConfig(starts=12, seed=2))
+        result = lambda_s_chain_numeric([sigma_z, sigma_x, sigma_z],
+                                        OptimizerConfig(starts=12, seed=2))
         assert result.value == pytest.approx(2 * math.log(2), abs=1e-3)
 
     def test_repeated_tail_doubles_pair_bound(self, sigma_z):
         b = tilted_spin(40)
-        result = lambda_s3_numeric(sigma_z, b, b, OptimizerConfig(starts=12, seed=2))
+        result = lambda_s_chain_numeric([sigma_z, b, b], OptimizerConfig(starts=12, seed=2))
         assert result.value == pytest.approx(0.722, abs=1e-3)
 
     @pytest.mark.parametrize("dim", [2, 3, 5])
@@ -305,7 +305,7 @@ class TestEntropyGradient:
         elif case == "sequential-pair":
             lambda_s_numeric(a, b, CFG)
         elif case == "triple":
-            lambda_s3_numeric(a, b, c, CFG)
+            lambda_s_chain_numeric([a, b, c], CFG)
         else:
             lambda_s_two(degenerate_observable(dim, rng), b)
         assert calls

@@ -115,6 +115,8 @@ class TestJointDistribution:
     def test_rejects_real_negatives(self):
         with pytest.raises(ValueError, match="below clip"):
             JointDistribution(axes=(np.array([0, 1]),), table=np.array([1.1, -0.1]))
+        with pytest.raises(ValueError, match="not a number"):
+            JointDistribution(axes=(np.array([0, 1]),), table=np.array([np.nan, 1.0]))
 
     def test_marginals_sum_to_one(self, z_plus, sigma_z, sigma_x):
         joint = wigner_joint(z_plus, sigma_z, sigma_x, sigma_z)
