@@ -18,8 +18,8 @@ import numpy as np
 
 from .entropy import _quadratic_entropy, _quadratic_entropy_gradient
 from .linalg import Observable
-from .optimize import OptimizerConfig, _sequential_stacks, minimize_in_subspace
-from .states import _chain_overlaps
+from .optimize import OptimizerConfig, minimize_in_subspace
+from .states import _chain_overlaps, _sequential_stacks
 
 #: Starts per subspace dimension when a degenerate eigenspace needs a search.
 _SUBSPACE_STARTS = 8
@@ -29,7 +29,6 @@ def _overlap_table(a: Observable, b: Observable) -> np.ndarray:
     """c[i, j] = ||P_A(a_i) P_B(b_j)||^2: top squared singular value of block (i, j) of
     ``_chain_overlaps([a, b])``, its squared Frobenius norm unless both eigenspaces are degenerate.
     """
-    a.require_same_dim(b)
     edges, (_, blocks) = _chain_overlaps([a, b])
     weights = np.abs(np.hstack(blocks).T) ** 2  # rows: eigenbasis of a, columns: of b
     table = np.add.reduceat(np.add.reduceat(weights, edges[0][:-1]), edges[1][:-1], axis=1)

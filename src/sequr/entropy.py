@@ -30,13 +30,13 @@ def _entropy(p: np.ndarray) -> np.ndarray:
     products are summed row by row in C order. Weights at or below
     ``WEIGHT_FLOOR`` get a zero log term, so ``log(0)`` is never taken. A
     weight that rounds slightly above 1 would give a tiny negative sum, so
-    every value is clamped at 0 and is never ``-0.0``. Kept private so that
-    tracing public functions adds nothing to the optimizer objectives, which
-    call it on every evaluation.
+    every value is clamped at 0 and is never ``-0.0``; a NaN row stays NaN.
+    Kept private so that tracing public functions adds nothing to the
+    optimizer objectives, which call it on every evaluation.
     """
     log_p = np.log(p, out=np.zeros(p.shape), where=p > WEIGHT_FLOOR)
-    # 0 - x is never -0.0, and fmax maps NaN to 0 like a clamp
-    return np.fmax(0.0 - (p * log_p).sum(axis=-1), 0.0)
+    # 0 - x is never -0.0, and maximum keeps a NaN row NaN
+    return np.maximum(0.0 - (p * log_p).sum(axis=-1), 0.0)
 
 
 def _quadratic_entropy(stack: np.ndarray, states: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from scipy.optimize import minimize as _scipy_minimize
 from .entropy import _quadratic_entropy, _quadratic_entropy_gradient
 from .errors import OptimizerFailure
 from .linalg import Observable
-from .states import luders_map
+from .states import _sequential_stacks
 
 _NORM_FLOOR = 1e-12
 _PENALTY = 1e30
@@ -200,24 +200,6 @@ def minimize_in_subspace(
     result = minimize_over_pure_states(lambda c: objective(c @ basis.T), k, config,
                                        gradient=coefficient_gradient)
     return replace(result, minimizer=basis @ result.minimizer)
-
-
-def _sequential_stacks(chain) -> list:
-    """Operator stacks whose expectations give each step's outcome distribution.
-
-    The k-th stack has shape (n_k, d, d), one operator per outcome of the k-th
-    observable: its projectors, mapped by the collapse maps (``luders_map``)
-    of every earlier observable, latest first. This moves the collapses onto
-    the operators, so every marginal of the sequential measurement is a plain
-    expectation in the initial state.
-    """
-    stacks = []
-    for depth, obs in enumerate(chain):
-        stack = obs.projectors
-        for earlier in reversed(chain[:depth]):
-            stack = luders_map(stack, earlier)
-        stacks.append(stack)
-    return stacks
 
 
 def _lambda_result(stacks, dim, config) -> OptimizerResult:

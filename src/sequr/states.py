@@ -9,9 +9,9 @@ next observable's eigenbasis through the overlap of the two isometries. For
 nondegenerate observables the blocks are numbers and the table is the Markov
 chain ``p_A(i) |<a_i|b_j>|^2 |<b_j|c_k>|^2 ...``. The seeded sampler walks the
 same blocks one branch at a time and provides an independent stochastic
-oracle for the table; ``luders_map``, ``outcome_probabilities`` and
-``interference_gap`` stay on the projectors, the definitional form the chain
-is checked against.
+oracle for the table; the operator stacks of the sequential bound and search
+are collapsed on the same isometries. ``luders_map``, ``outcome_probabilities``
+and ``interference_gap`` stay on the projectors, as the definitional oracle.
 """
 
 from __future__ import annotations
@@ -145,6 +145,7 @@ def _chain_overlaps(observables) -> tuple:
     the j-th eigenspace isometry of the previous observable written in the
     eigenbasis of observable k. Before the first observable the identity
     stands in as a single outcome, so ``overlaps[0]`` is ``[B_0^dagger]``.
+    Raises ``DimensionMismatch`` before any product if the dimensions differ.
 
     A reduced block ``s`` of a prefix ending in outcome j of observable k - 1
     (the collapsed state is ``V_{k-1,j} s V_{k-1,j}^dagger``) becomes
@@ -155,6 +156,7 @@ def _chain_overlaps(observables) -> tuple:
     edges, overlaps = [], []
     previous = None
     for obs in observables:
+        observables[0].require_same_dim(obs)
         basis_h = obs.eigenbasis().conj().T
         # B_0^dagger in C order, the layout of the products it replaces: a
         # transposed view moves table entries in the last bit
@@ -163,6 +165,33 @@ def _chain_overlaps(observables) -> tuple:
         edges.append(tuple(accumulate(obs.multiplicities, initial=0)))
         previous = obs.eigenvectors
     return edges, overlaps
+
+
+def _sequential_stacks(chain) -> list:
+    """Operator stacks whose expectations give each step's outcome distribution.
+
+    The k-th stack has shape (n_k, d, d): the projectors of the k-th observable
+    mapped by the collapse of every earlier one, latest first, so each marginal
+    of the sequential measurement is an expectation in the initial state. Stage
+    0 is ``chain[0].projectors``. Later stages are built on ``_chain_overlaps``:
+    a collapse keeps the eigenspace blocks in the eigenbasis B_k of its
+    observable, and ``B_{k-1}^dagger B_k`` carries the stack on to B_{k-1}.
+    """
+    first, *later = chain
+    if not later:
+        return [first.projectors]
+    edges, overlaps = _chain_overlaps(chain)
+    rows = [np.concatenate(level, axis=1) for level in overlaps]  # B_k^dagger B_{k-1}
+    carried = np.empty((0, first.dim, first.dim), dtype=complex)
+    for depth in range(len(chain) - 1, 0, -1):
+        # stage depth's projectors join the later stages in eigenbasis depth - 1
+        r, prior = rows[depth], chain[depth - 1]
+        projectors = np.add.reduceat(r.conj()[:, :, None] * r[:, None, :], edges[depth][:-1])
+        label = np.repeat(np.arange(prior.n_outcomes), prior.multiplicities)
+        carried = np.concatenate([projectors, carried]) * (label[:, None] == label)
+        carried = rows[depth - 1].conj().T @ carried @ rows[depth - 1]
+    stops = list(accumulate((obs.n_outcomes for obs in later), initial=0))
+    return [first.projectors, *(carried[lo:hi] for lo, hi in zip(stops, stops[1:]))]
 
 
 def wigner_joint(rho: np.ndarray, *observables: Observable) -> JointDistribution:

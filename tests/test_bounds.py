@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -17,10 +18,10 @@ from sequr.bounds import (
 from sequr.entropy import _quadratic_entropy, entropies_sequential, shannon_entropy
 from sequr.errors import DimensionMismatch
 from sequr.linalg import operator_norm, spectral_resolution
-from sequr.optimize import OptimizerConfig, _sequential_stacks, lambda_s_chain_numeric
+from sequr.optimize import OptimizerConfig, lambda_s_chain_numeric
 from sequr.qubit import spin_observable
-from sequr.states import (pure_density, random_hermitian, random_observable, random_state,
-                          wigner_joint)
+from sequr.states import (_sequential_stacks, pure_density, random_hermitian, random_observable,
+                          random_state, wigner_joint)
 
 
 def tilted_spin(deg):
@@ -271,6 +272,19 @@ class TestTripleBound:
                 lambda_s_chain(chain)
             with pytest.raises(DimensionMismatch):
                 lambda_s_chain_numeric(chain, OptimizerConfig(starts=1))
+
+    def test_chain_paths_never_call_luders_map(self, monkeypatch):
+        # the stacks come from the eigenspace overlaps; the projector form of
+        # the collapse is left to the oracles that check them
+        def refuse(*args):
+            raise AssertionError("luders_map called on the bound or search path")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "sequr" and hasattr(module, "luders_map"):
+                monkeypatch.setattr(module, "luders_map", refuse)
+        chain = [random_observable(3, seed=s) for s in (1950, 1951, 1952)]
+        assert lambda_s_chain(chain).common_state > 0
+        assert lambda_s_chain_numeric(chain, OptimizerConfig(starts=1)).value > 0
 
     def test_degenerate_middle_matches_search(self):
         a, c = random_observable(4, seed=1840), random_observable(4, seed=1841)

@@ -49,6 +49,17 @@ class TestShannonEntropy:
             assert value == 0.0
             assert math.copysign(1.0, value) == 1.0
 
+    def test_nan_row_stays_nan(self):
+        # the public entry points refuse NaN weights; the kernel itself must
+        # not turn a NaN row into a finite entropy, nor touch the other rows
+        p = np.random.default_rng(5).dirichlet(np.ones(3), size=4)
+        p[2, 1] = math.nan
+        values = _entropy(p)
+        assert math.isnan(values[2])
+        for row in (0, 1, 3):
+            assert values[row] == _entropy(p[row])
+        assert math.isnan(_entropy(np.array([math.nan, 0.5])))
+
     @pytest.mark.parametrize("n", [2, 3, 8, 17])
     def test_row_wise_kernel_equals_row_calls(self, n):
         # zero, sub-floor and rounded-above-1 weights in some rows; n >= 8 rows

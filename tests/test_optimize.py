@@ -17,7 +17,7 @@ from sequr.optimize import (
     minimize_over_pure_states,
 )
 from sequr.qubit import PAULI_X, PAULI_Z, spin_observable
-from sequr.states import random_hermitian, random_observable
+from sequr.states import _sequential_stacks, random_hermitian, random_observable
 
 CFG = OptimizerConfig(starts=8, seed=7)
 
@@ -223,7 +223,7 @@ class TestLambdaS3Numeric:
         result = lambda_s_chain_numeric([sigma_z, b, b], OptimizerConfig(starts=12, seed=2))
         assert result.value == pytest.approx(0.722, abs=1e-3)
 
-    @pytest.mark.parametrize("dim", [2, 3, 5])
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16])
     def test_sequential_stacks_match_einsum_reference(self, dim):
         def reference(chain):
             # each earlier projector sum conjugates the stack, latest first
@@ -239,8 +239,8 @@ class TestLambdaS3Numeric:
         rng = np.random.default_rng(dim)
         a, b, c = (random_observable(dim, rng) for _ in range(3))
         middle = spectral_resolution(np.diag(np.arange(dim) // 2).astype(complex))
-        for chain in ([a, b], [a, b, c], [a, middle, c], [c, a, b, a]):
-            got, want = optimize._sequential_stacks(chain), reference(chain)
+        for chain in ([a], [a, b], [a, b, c], [a, middle, c], [a, b, middle], [c, a, b, a]):
+            got, want = _sequential_stacks(chain), reference(chain)
             assert [s.shape for s in got] == [s.shape for s in want]
             for g, w in zip(got, want):
                 assert np.abs(g - w).max() <= 1e-15
