@@ -29,12 +29,12 @@ def _overlap_table(a: Observable, b: Observable) -> np.ndarray:
     """c[i, j] = ||P_A(a_i) P_B(b_j)||^2: top squared singular value of block (i, j) of
     ``_chain_overlaps([a, b])``, its squared Frobenius norm unless both eigenspaces are degenerate.
     """
-    edges, (_, blocks) = _chain_overlaps([a, b])
+    _, blocks = _chain_overlaps([a, b])
     weights = np.abs(np.hstack(blocks).T) ** 2  # rows: eigenbasis of a, columns: of b
-    table = np.add.reduceat(np.add.reduceat(weights, edges[0][:-1]), edges[1][:-1], axis=1)
+    table = np.add.reduceat(np.add.reduceat(weights, a.edges[:-1]), b.edges[:-1], axis=1)
     for i in (n for n, m in enumerate(a.multiplicities) if m > 1):
         for j in (n for n, m in enumerate(b.multiplicities) if m > 1):
-            table[i, j] = np.linalg.norm(blocks[i][edges[1][j]:edges[1][j + 1]], 2) ** 2
+            table[i, j] = np.linalg.norm(blocks[i][b.edges[j]:b.edges[j + 1]], 2) ** 2
     return table
 
 
@@ -116,17 +116,14 @@ def lambda_s_chain(chain, config: OptimizerConfig | None = None) -> ChainBound:
                          "or more needs a nondegenerate one")
     first.require_same_dim(later[0])
     stacks = _sequential_stacks(later)
-    stages = np.array([_quadratic_entropy(stack, first.eigenbasis().T) for stack in stacks])
-    start = 0
-    for basis in first.eigenvectors:
-        k = basis.shape[1]
-        if k > 1:
-            cfg = replace(config or OptimizerConfig(seed=0), starts=_SUBSPACE_STARTS * k)
-            stages[:, start:start + k] = minimize_in_subspace(
+    stages = np.array([_quadratic_entropy(stack, first.eigenbasis.T) for stack in stacks])
+    for lo, hi, basis in zip(first.edges, first.edges[1:], first.eigenvectors):
+        if hi - lo > 1:
+            cfg = replace(config or OptimizerConfig(seed=0), starts=_SUBSPACE_STARTS * (hi - lo))
+            stages[:, lo:hi] = minimize_in_subspace(
                 lambda psi: _quadratic_entropy(stacks[0], psi), basis.T, cfg,
                 gradient=lambda psi: _quadratic_entropy_gradient(stacks[0], psi),
             ).value
-        start += k
     return ChainBound(stagewise=float(stages.min(axis=1).sum()),
                       common_state=float(stages.sum(axis=0).min()),
                       second_stage=float(stages[-1].min()))

@@ -62,6 +62,9 @@ REFERENCE_TABLE = (
 #: Most angles one ``sweep`` evaluates.
 MAX_SWEEP_STEPS = 10**5
 
+#: Most optimizer starts one ``bounds`` search takes.
+MAX_STARTS = 10**4
+
 #: Most instances one ``verify`` draws per property.
 MAX_VERIFY_INSTANCES = 10**5
 
@@ -177,6 +180,8 @@ def cmd_bounds(args) -> int:
         raise ScenarioError(f"--order needs 2 to {len(_ORDINALS)} observable names")
     if args.starts < 1:
         raise ScenarioError("--starts must be >= 1")
+    if args.starts > MAX_STARTS:
+        raise ScenarioError(f"--starts {args.starts} exceeds the limit of {MAX_STARTS}")
     scenario = load_scenario(args.file)
     observables = scenario.pick(args.order)
     config = OptimizerConfig(starts=args.starts, seed=args.seed)

@@ -4,7 +4,9 @@ Everything here works on plain ``numpy`` arrays of complex dtype. Operators are
 small (dimension 2..16) and dense; eigenproblems are delegated to LAPACK via
 ``numpy.linalg``. ``eigh``, ``operator_norm`` and the spectral resolution also
 take stacks ``(n, dim, dim)``, which they validate once and hand to LAPACK in
-one call; a stack gives the same bits as its matrices one at a time.
+one call; a stack gives the same bits as its matrices one at a time. An
+``Observable`` stores its resolution once, as the ``eigh`` eigenbasis and the
+column edges of its eigenspaces; eigenspace blocks and projectors are derived.
 """
 
 from __future__ import annotations
@@ -88,28 +90,25 @@ def default_cluster_tol(eigenvalues: np.ndarray):
     gets one threshold per spectrum.
     """
     values = np.asarray(eigenvalues, dtype=float)
-    spread = (values[..., -1] - values[..., 0] if values.shape[-1]
-              else np.zeros(values.shape[:-1]))
-    return 1e-8 * np.maximum(spread, 1.0)
+    return 1e-8 * np.maximum(values[..., -1] - values[..., 0], 1.0)
 
 
 @dataclass(frozen=True)
 class Observable:
     """A Hermitian operator together with its spectral resolution.
 
-    The operator is stored as ``matrix`` and as the resolution
-    ``sum_i eigenvalues[i] * projectors[i]`` into distinct eigenvalues with
-    orthogonal eigenprojectors, stacked in one ``(n_outcomes, dim, dim)``
-    array. ``eigenvectors[i]`` holds an orthonormal basis
-    of the i-th eigenspace as columns, so its shape is
-    ``(dim, multiplicities[i])``.
+    The operator is stored as ``matrix`` and as its distinct ``eigenvalues`` and
+    ``eigenbasis``: the read-only ``eigh`` eigenvectors as columns, grouped by
+    ascending eigenvalue. Eigenspace i spans columns ``edges[i]:edges[i + 1]``.
+    Built on first use: ``eigenvectors[i]``, that column block, and the stack
+    ``projectors`` (n_outcomes, dim, dim) of the orthogonal eigenprojectors, so
+    the operator is ``sum_i eigenvalues[i] * projectors[i]``.
     """
 
     matrix: np.ndarray
     eigenvalues: np.ndarray  # distinct, strictly increasing
-    projectors: np.ndarray = field(repr=False)
-    multiplicities: tuple = ()
-    eigenvectors: tuple = field(default=(), repr=False)
+    eigenbasis: np.ndarray = field(repr=False)
+    edges: tuple
 
     @property
     def dim(self) -> int:
@@ -120,18 +119,22 @@ class Observable:
         return len(self.eigenvalues)
 
     @property
-    def is_nondegenerate(self) -> bool:
-        return all(m == 1 for m in self.multiplicities)
+    def multiplicities(self) -> tuple:
+        return tuple(hi - lo for lo, hi in zip(self.edges, self.edges[1:]))
 
-    def eigenbasis(self) -> np.ndarray:
-        """All eigenvectors as columns, grouped by ascending eigenvalue (read-only)."""
-        return self._eigenbasis
+    @property
+    def is_nondegenerate(self) -> bool:
+        return self.n_outcomes == self.dim
 
     @cached_property
-    def _eigenbasis(self) -> np.ndarray:
-        basis = np.hstack(self.eigenvectors)
-        basis.flags.writeable = False
-        return basis
+    def eigenvectors(self) -> tuple:
+        return tuple(self.eigenbasis[:, lo:hi] for lo, hi in zip(self.edges, self.edges[1:]))
+
+    @cached_property
+    def projectors(self) -> np.ndarray:
+        """The rank-one projectors of the eigenbasis summed per eigenspace, C-contiguous."""
+        rank_one = np.einsum("ik,jk->kij", self.eigenbasis, self.eigenbasis.conj())
+        return np.add.reduceat(rank_one, self.edges[:-1])
 
     def require_same_dim(self, other) -> None:
         dim = other.shape[-1] if isinstance(other, np.ndarray) else other.dim
@@ -172,37 +175,21 @@ def spectral_resolutions(matrices: np.ndarray) -> list:
 def _resolve(m: np.ndarray) -> list:
     """The spectral-resolution kernel on a validated Hermitian stack ``(n, dim, dim)``.
 
-    A spectrum whose every gap exceeds its cluster threshold gets its rank-one
-    projectors from one einsum over all such spectra; the others are split
-    into clusters one matrix at a time. Projector stacks are C-contiguous, the
-    layout of the per-matrix products (a strided view changes later sums in
-    the last bit).
+    Ascending eigenvalues are split into eigenspaces wherever a gap exceeds the
+    spectrum's cluster threshold. A nondegenerate spectrum keeps the ``eigh``
+    eigenvalues as they are; a degenerate one reports each cluster's mean.
     """
     dim = m.shape[-1]
     _check_dim(dim)
     values, vectors = np.linalg.eigh(m)
-    # split ascending eigenvalues wherever the gap exceeds the threshold
+    vectors.flags.writeable = False
     cuts = values[:, 1:] - values[:, :-1] > default_cluster_tol(values)[:, None]
-    simple = cuts.all(axis=-1)
-    isometries = vectors if simple.all() else vectors[simple]
-    rank_one = iter(np.ascontiguousarray(
-        np.einsum("nik,njk->nkij", isometries, isometries.conj())))
     observables = []
-    for h, vals, vecs, split, nondegenerate in zip(m, values, vectors, cuts, simple):
-        if nondegenerate:
-            observables.append(Observable(
-                matrix=h, eigenvalues=vals, projectors=next(rank_one),
-                multiplicities=(1,) * dim,
-                eigenvectors=tuple(vecs[:, k:k + 1] for k in range(dim))))
-            continue
-        boundaries = [0, *(np.flatnonzero(split) + 1).tolist(), dim]
-        blocks = [vecs[:, start:stop] for start, stop in zip(boundaries[:-1], boundaries[1:])]
+    for h, vals, vecs, split in zip(m, values, vectors, cuts):
+        edges = (0, *(np.flatnonzero(split) + 1).tolist(), dim)
         observables.append(Observable(
             matrix=h,
-            eigenvalues=np.array([vals[start:stop].mean()
-                                  for start, stop in zip(boundaries[:-1], boundaries[1:])]),
-            projectors=np.stack([block @ block.conj().T for block in blocks]),
-            multiplicities=tuple(block.shape[1] for block in blocks),
-            eigenvectors=tuple(blocks),
-        ))
+            eigenvalues=vals if split.all() else np.array(
+                [vals[lo:hi].mean() for lo, hi in zip(edges, edges[1:])]),
+            eigenbasis=vecs, edges=edges))
     return observables

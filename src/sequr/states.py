@@ -2,10 +2,11 @@
 
 Density operators are plain complex ``numpy`` arrays. The joint distribution of
 an ordered measurement sequence, ``Tr[... P_B P_A rho P_A P_B ...]``, is
-computed on the observables' eigenspace isometries (``Observable.eigenvectors``)
-rather than on full projectors: a state collapsed into an eigenspace of
-multiplicity m is kept as its m x m block in that eigenspace, and moves to the
-next observable's eigenbasis through the overlap of the two isometries. For
+computed on the observables' eigenspace isometries, the column blocks
+``edges[i]:edges[i + 1]`` of ``Observable.eigenbasis``, rather than on full
+projectors: a state collapsed into an eigenspace of multiplicity m is kept as
+its m x m block in that eigenspace, and moves to the next observable's
+eigenbasis through the overlap of the two isometries. For
 nondegenerate observables the blocks are numbers and the table is the Markov
 chain ``p_A(i) |<a_i|b_j>|^2 |<b_j|c_k>|^2 ...``. The seeded sampler walks the
 same blocks one branch at a time and provides an independent stochastic
@@ -136,16 +137,15 @@ def _table_shape(rho: np.ndarray, observables) -> tuple:
     return shape
 
 
-def _chain_overlaps(observables) -> tuple:
-    """Block edges and isometry overlaps of an ordered measurement chain.
+def _chain_overlaps(observables) -> list:
+    """Isometry overlaps of an ordered measurement chain.
 
-    ``edges[k]`` holds the cumulative multiplicities of observable k, so its
-    j-th eigenspace spans columns ``edges[k][j]:edges[k][j + 1]`` of its
-    eigenbasis B_k. ``overlaps[k][j]`` is ``T_k[j] = B_k^dagger V_{k-1,j}``:
-    the j-th eigenspace isometry of the previous observable written in the
-    eigenbasis of observable k. Before the first observable the identity
-    stands in as a single outcome, so ``overlaps[0]`` is ``[B_0^dagger]``.
-    Raises ``DimensionMismatch`` before any product if the dimensions differ.
+    ``overlaps[k][j]`` is ``T_k[j] = B_k^dagger V_{k-1,j}``: the j-th eigenspace
+    isometry of the previous observable written in the eigenbasis B_k of
+    observable k, whose l-th eigenspace spans rows ``edges[l]:edges[l + 1]``.
+    Before the first observable the identity stands in as a single outcome, so
+    ``overlaps[0]`` is ``[B_0^dagger]``. Raises ``DimensionMismatch`` before any
+    product if the dimensions differ.
 
     A reduced block ``s`` of a prefix ending in outcome j of observable k - 1
     (the collapsed state is ``V_{k-1,j} s V_{k-1,j}^dagger``) becomes
@@ -153,18 +153,17 @@ def _chain_overlaps(observables) -> tuple:
     diagonal block is the reduced block of the prefix extended by outcome l,
     and its trace is that prefix's probability.
     """
-    edges, overlaps = [], []
+    overlaps = []
     previous = None
     for obs in observables:
         observables[0].require_same_dim(obs)
-        basis_h = obs.eigenbasis().conj().T
+        basis_h = obs.eigenbasis.conj().T
         # B_0^dagger in C order, the layout of the products it replaces: a
         # transposed view moves table entries in the last bit
         overlaps.append([np.ascontiguousarray(basis_h)] if previous is None
                         else [basis_h @ v for v in previous])
-        edges.append(tuple(accumulate(obs.multiplicities, initial=0)))
         previous = obs.eigenvectors
-    return edges, overlaps
+    return overlaps
 
 
 def _sequential_stacks(chain) -> list:
@@ -180,14 +179,14 @@ def _sequential_stacks(chain) -> list:
     first, *later = chain
     if not later:
         return [first.projectors]
-    edges, overlaps = _chain_overlaps(chain)
-    rows = [np.concatenate(level, axis=1) for level in overlaps]  # B_k^dagger B_{k-1}
+    rows = [np.concatenate(level, axis=1) for level in _chain_overlaps(chain)]  # B_k^dagger B_{k-1}
     carried = np.empty((0, first.dim, first.dim), dtype=complex)
     for depth in range(len(chain) - 1, 0, -1):
         # stage depth's projectors join the later stages in eigenbasis depth - 1
         r, prior = rows[depth], chain[depth - 1]
-        projectors = np.add.reduceat(r.conj()[:, :, None] * r[:, None, :], edges[depth][:-1])
-        label = np.repeat(np.arange(prior.n_outcomes), prior.multiplicities)
+        projectors = np.add.reduceat(r.conj()[:, :, None] * r[:, None, :], chain[depth].edges[:-1])
+        # the eigenspace of prior that each column of its eigenbasis lies in
+        label = np.searchsorted(prior.edges[1:], np.arange(prior.dim), side="right")
         carried = np.concatenate([projectors, carried]) * (label[:, None] == label)
         carried = rows[depth - 1].conj().T @ carried @ rows[depth - 1]
     stops = list(accumulate((obs.n_outcomes for obs in later), initial=0))
@@ -211,12 +210,12 @@ def wigner_joint(rho: np.ndarray, *observables: Observable) -> JointDistribution
     Markov chain ``p_A(i) |<a_i|b_j>|^2 |<b_j|c_k>|^2 ...``.
     """
     shape = _table_shape(rho, observables)
-    edges, overlaps = _chain_overlaps(observables)
+    overlaps = _chain_overlaps(observables)
     # blocks[j] stacks the reduced blocks of every prefix ending in outcome j
     # of the latest observable, in C order of the outcomes before it
     blocks = [np.asarray(rho, dtype=complex)[None]]
-    for level_edges, level_overlaps in zip(edges[:-1], overlaps[:-1]):
-        spans = list(zip(level_edges[:-1], level_edges[1:]))
+    for obs, level_overlaps in zip(observables[:-1], overlaps[:-1]):
+        spans = list(zip(obs.edges[:-1], obs.edges[1:]))
         rows = len(blocks[0])
         extended = [np.empty((rows, len(blocks), hi - lo, hi - lo), dtype=complex)
                     for lo, hi in spans]
@@ -231,7 +230,7 @@ def wigner_joint(rho: np.ndarray, *observables: Observable) -> JointDistribution
     for j, (t, block) in enumerate(zip(overlaps[-1], blocks)):
         # only the diagonal of t @ block @ t^dagger, summed per eigenspace
         diagonal = ((t @ block) * t.conj()).sum(axis=-1).real
-        table[:, j] = np.add.reduceat(diagonal, edges[-1][:-1], axis=1)
+        table[:, j] = np.add.reduceat(diagonal, observables[-1].edges[:-1], axis=1)
     axes = tuple(obs.eigenvalues.copy() for obs in observables)
     return JointDistribution(axes=axes, table=table.reshape(shape))
 
@@ -269,15 +268,15 @@ def sample_sequence(rho: np.ndarray, chain, n: int, seed: int) -> np.ndarray:
         raise ValueError(f"sample count {n} exceeds the limit of {MAX_SAMPLES}")
     chain = list(chain)
     shape = _table_shape(rho, chain)
-    edges, overlaps = _chain_overlaps(chain)
-    heads = [np.array(level[:-1]) for level in edges]  # reduceat indices, converted once
+    overlaps = _chain_overlaps(chain)
+    heads = [np.array(obs.edges[:-1]) for obs in chain]  # reduceat indices, converted once
     rng = np.random.default_rng(seed)
     counts = np.zeros(shape, dtype=np.int64)
     last = len(chain) - 1
 
     def descend(block, j, count, depth, idx):
         t = overlaps[depth][j]
-        bounds = edges[depth]
+        bounds = chain[depth].edges
         carried = t @ block @ t.conj().T
         probs = _clip_probabilities(np.add.reduceat(carried.diagonal().real, heads[depth]))
         split = rng.multinomial(count, probs / probs.sum())

@@ -82,7 +82,7 @@ class TestDistinctBounds:
             if a.is_nondegenerate:
                 # closed branch: the b-distribution <a_i|P_B(b_j)|a_i> of each eigenvector
                 closed = min(shannon_entropy([(v.conj() @ q @ v).real for q in b.projectors])
-                             for v in a.eigenbasis().T)
+                             for v in a.eigenbasis.T)
                 assert lambda_s_two(a, b) == pytest.approx(closed, abs=1e-12)
 
     def test_deutsch_at_90(self, sigma_z, sigma_x):
@@ -246,7 +246,7 @@ class TestTripleBound:
         chain = [random_observable(dim, rng) for _ in range(length)]
         chain[1] = eigenspace_observable(degenerate, 10 * length + dim)
         chain[-1] = eigenspace_observable(degenerate, 20 * length + dim)
-        vectors = chain[0].eigenbasis().T
+        vectors = chain[0].eigenbasis.T
         rows = np.array([[shannon_entropy(p) for p in
                           wigner_joint(pure_density(v), *chain).marginals()[1:]]
                          for v in vectors])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from sequr import bounds, qubit
-from sequr.cli import main
+from sequr.cli import MAX_STARTS, main
 from sequr.linalg import spectral_resolution
 from sequr.states import random_hermitian
 
@@ -138,6 +138,15 @@ class TestBounds:
     def test_long_order_refused_before_reading_the_file(self, capsys):
         assert main(["bounds", "/no/such/file.json", "--order", *"ZXZXZXZ"]) == 2
         assert "--order needs 2 to 6 observable names" in capsys.readouterr().err
+
+    def test_many_starts_refused_before_reading_the_file(self, capsys):
+        argv = ["bounds", "/no/such/file.json", "--order", "Z", "X", "--starts"]
+        assert main([*argv, str(MAX_STARTS + 1)]) == 2
+        err = capsys.readouterr().err
+        assert f"--starts {MAX_STARTS + 1} exceeds the limit of {MAX_STARTS}" in err
+        # at the cap the flag passes, and the missing file is what fails
+        assert main([*argv, str(MAX_STARTS)]) == 2
+        assert "exceeds the limit" not in capsys.readouterr().err
 
     def test_degenerate_observables_in_chains(self, tmp_path, capsys):
         # P is degenerate: accepted in the middle and last places, refused first

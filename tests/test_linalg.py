@@ -9,6 +9,7 @@ from sequr.linalg import (
     is_hermitian,
     operator_norm,
     spectral_resolution,
+    spectral_resolutions,
 )
 
 
@@ -82,16 +83,78 @@ class TestSpectralResolution:
     def test_observable_helpers(self, sigma_z):
         assert sigma_z.dim == 2
         assert sigma_z.is_nondegenerate
-        basis = sigma_z.eigenbasis()
+        basis = sigma_z.eigenbasis
         assert np.allclose(basis.conj().T @ basis, np.eye(2), atol=1e-12)
 
     def test_eigenbasis_is_built_once_and_read_only(self):
         obs = spectral_resolution(np.diag([1.0, 1.0, 2.0]))
-        basis = obs.eigenbasis()
-        assert basis is obs.eigenbasis()
+        basis = obs.eigenbasis
+        assert basis is obs.eigenbasis
         assert np.array_equal(basis, np.hstack(obs.eigenvectors))
         with pytest.raises(ValueError):
             basis[0, 0] = 5.0
+        assert obs.edges == (0, 2, 3)
+        assert obs.multiplicities == tuple(np.diff(obs.edges))
+        for i, block in enumerate(obs.eigenvectors):
+            lo, hi = obs.edges[i], obs.edges[i + 1]
+            # a view of the eigenbasis columns, not a copy
+            assert np.shares_memory(block, basis)
+            assert block.strides == basis.strides
+            assert np.array_equal(block, basis[:, lo:hi])
+            with pytest.raises(ValueError):
+                block[0, 0] = 5.0
+
+    def test_projectors_are_built_on_first_use(self):
+        rng = np.random.default_rng(5)
+        stack = np.stack([_random_hermitian(4, rng), np.diag([1.0, 1.0, 2.0, 3.0])])
+        observables = spectral_resolutions(stack)
+        assert not any("projectors" in vars(obs) for obs in observables)
+        for obs in observables:
+            assert obs.projectors is obs.projectors
+            assert "projectors" in vars(obs)
+
+
+def _mixed_stack(dim, rng):
+    """Generic, exactly degenerate and near-degenerate (1e-12 splits) spectra, interleaved."""
+    def with_spectrum(multiplicities, spread):
+        q, _ = np.linalg.qr(_random_hermitian(dim, rng))
+        centres = np.repeat(rng.standard_normal(len(multiplicities)), multiplicities)
+        return q @ np.diag(centres + spread * np.arange(dim)) @ q.conj().T
+
+    return np.stack([_random_hermitian(dim, rng), with_spectrum([2] + [1] * (dim - 2), 0.0),
+                     with_spectrum([dim], 1e-12), _random_hermitian(dim, rng),
+                     with_spectrum([1] * (dim - 2) + [2], 1e-12), with_spectrum([dim], 0.0)])
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 8, 16])
+def test_resolution_matches_the_stored_projector_formulas(dim):
+    """Projectors and eigenvalues against the formulas that built them eagerly.
+
+    Nondegenerate spectra got their rank-one projectors from one stacked einsum,
+    degenerate ones ``block @ block^dagger`` per eigenspace and the cluster mean
+    as eigenvalue.
+    """
+    stack = _mixed_stack(dim, np.random.default_rng(dim))
+    observables = spectral_resolutions(stack)
+    values, vectors = np.linalg.eigh(stack)
+    cuts = np.diff(values) > 1e-8 * np.maximum(values[:, -1] - values[:, 0], 1.0)[:, None]
+    rank_one = np.ascontiguousarray(np.einsum("nik,njk->nkij", vectors, vectors.conj()))
+    assert any(obs.is_nondegenerate for obs in observables)
+    assert not all(obs.is_nondegenerate for obs in observables)
+    for obs, vals, vecs, split, reference in zip(observables, values, vectors, cuts, rank_one):
+        assert obs.edges == (0, *(np.flatnonzero(split) + 1).tolist(), dim)
+        assert obs.eigenbasis.tobytes() == vecs.tobytes()
+        assert obs.projectors.flags.c_contiguous
+        if obs.is_nondegenerate:
+            assert obs.eigenvalues.tobytes() == vals.tobytes()
+            assert obs.projectors.tobytes() == reference.tobytes()
+            continue
+        spans = list(zip(obs.edges, obs.edges[1:]))
+        means = np.array([vals[lo:hi].mean() for lo, hi in spans])
+        assert obs.eigenvalues.tobytes() == means.tobytes()
+        blocks = [vecs[:, lo:hi] for lo, hi in spans]
+        eager = np.stack([block @ block.conj().T for block in blocks])
+        assert np.abs(obs.projectors - eager).max() <= 1e-15
 
 
 class TestOperatorNorm:

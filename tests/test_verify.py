@@ -64,7 +64,7 @@ def test_stacked_spectral_resolution_is_bitwise_per_matrix(case):
         assert obs.projectors.flags.c_contiguous and single.projectors.flags.c_contiguous
         assert all(_same_bits(np.ascontiguousarray(v), np.ascontiguousarray(w))
                    for v, w in zip(obs.eigenvectors, single.eigenvectors))
-        assert _same_bits(obs.eigenbasis(), single.eigenbasis())
+        assert _same_bits(obs.eigenbasis, single.eigenbasis)
     if "degenerate" in case:
         assert not any(obs.is_nondegenerate for obs in stacked)
     if "mixed" in case:
