@@ -12,6 +12,7 @@ mismatch, 2 bad input, 3 dimension mismatch, 4 optimizer failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -92,26 +93,71 @@ def _parse_log_base(text: str) -> float:
     return base
 
 
-def _emit(args, payload: dict, csv_rows, table_lines, **header) -> None:
-    """Print one command's result in the format ``args.format`` names.
+#: Types ``json`` writes as one token; subclasses (``np.float64``) are not among them.
+_JSON_SCALARS = {str, int, float, bool, type(None)}
 
-    ``payload`` is the JSON document. ``csv_rows`` (column names first, then
-    one tuple of cell strings per row) and ``table_lines`` are only iterated
-    in their own format, so they may be generators. Table output opens with
-    a ``# <command>  key=value ...`` line built from ``header``, unless
-    ``--quiet`` is given.
+
+@functools.lru_cache(maxsize=16)
+def _flat_json(separator: str):
+    """``json``'s encoder with ``separator`` between items, so with no indent, in C.
+
+    ``separator`` holds the indent of one nesting depth, so a payload needs
+    one encoder per depth.
+    """
+    return json.JSONEncoder(separators=(separator, ": ")).encode
+
+
+def _json_text(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for a value nested at ``indent``.
+
+    ``json.dumps`` never uses its C encoder when it indents, so it writes every
+    item in Python. Here the innermost dicts and lists, those holding only
+    scalars, go to the C encoder with the newline and the indent in its item
+    separator, which writes the same text. Outer levels recurse with the same
+    2-space indent. Scalars and empty containers go to ``json.dumps``.
+    """
+    if not (isinstance(value, (dict, list, tuple)) and value):
+        return json.dumps(value)
+    inner = indent + "  "
+    separator = ",\n" + inner
+    is_dict = isinstance(value, dict)
+    if set(map(type, value.values() if is_dict else value)) <= _JSON_SCALARS:
+        body = _flat_json(separator)(value)[1:-1]
+    elif not is_dict:
+        body = separator.join(_json_text(item, inner) for item in value)
+    elif all(type(key) is str for key in value):
+        body = separator.join(f"{json.dumps(key)}: {_json_text(item, inner)}"
+                              for key, item in value.items())
+    else:
+        # keys json converts to strings itself; JSON strings escape their
+        # newlines, so every newline here is indentation
+        return json.dumps(value, indent=2).replace("\n", "\n" + indent)
+    return f"{{\n{inner}{body}\n{indent}}}" if is_dict else f"[\n{inner}{body}\n{indent}]"
+
+
+def _emit(args, payload: dict, csv_rows, table_lines, **header) -> None:
+    """Write one command's result to stdout in the format ``args.format`` names.
+
+    ``payload`` is the JSON document, written as ``json.dumps(payload,
+    indent=2)`` writes it (see ``_json_text``). ``csv_rows`` (column names
+    first, then one tuple of cell strings per row) and ``table_lines`` are
+    only iterated in their own format, so they may be generators. Table
+    output opens with a ``# <command>  key=value ...`` line built from
+    ``header``, unless ``--quiet`` is given. The lines go out through one
+    ``writelines`` call, so a long table streams instead of being joined.
     """
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        lines = [_json_text(payload)]
     elif args.format == "csv":
-        for row in csv_rows:
-            print(",".join(row))
+        lines = map(",".join, csv_rows)
     else:
+        lines = table_lines
         if not args.quiet:
-            print(f"# {payload['command']}  "
-                  + "  ".join(f"{key}={value}" for key, value in header.items()))
-        for line in table_lines:
-            print(line)
+            lines = itertools.chain(
+                [f"# {payload['command']}  "
+                 + "  ".join(f"{key}={value}" for key, value in header.items())],
+                lines)
+    sys.stdout.writelines(f"{line}\n" for line in lines)
 
 
 #: ``--seed`` help of the commands whose output no seed can change.
@@ -450,11 +496,7 @@ def cmd_simulate(args) -> int:
         "samples": args.samples,
         "seed": args.seed,
         "log_base": args.log_base,
-        "joint": {
-            "axes": [[_json_num(v) for v in ax] for ax in joint.axes],
-            "analytic": np.round(joint.table, 9).tolist(),
-            "empirical": np.round(freqs, 9).tolist(),
-        },
+        "joint": {"axes": [[_json_num(v) for v in ax] for ax in joint.axes]},
         "marginals": [
             {
                 "observable": name,
@@ -471,18 +513,24 @@ def cmd_simulate(args) -> int:
         payload["interference_gap"] = {
             "analytic": _json_num(gap[0]), "empirical": _json_num(gap[1]),
         }
+    if args.format == "json":
+        # the cells as nested lists only where they are printed; table and csv
+        # rows read them from cells() below
+        payload["joint"].update(analytic=np.round(joint.table, 9).tolist(),
+                                empirical=np.round(freqs, 9).tolist())
 
     labels = [[_fmt(v) for v in ax] for ax in joint.axes]
 
-    def outcome(idx) -> tuple:
-        return tuple(labels[k][i] for k, i in enumerate(idx))
+    def cells():
+        """(outcome labels, analytic, empirical) of every joint cell, in C order."""
+        return zip(itertools.product(*labels), joint.table.ravel().tolist(),
+                   freqs.ravel().tolist())
 
     def table():
         yield f"{'outcome':<24} {'analytic':>10} {'empirical':>10} {'|diff|':>10}"
-        for idx in np.ndindex(joint.table.shape):
-            label = "(" + ",".join(outcome(idx)) + ")"
-            p, f = joint.table[idx], freqs[idx]
-            yield f"{label:<24} {p:>10.6f} {f:>10.6f} {abs(p - f):>10.6f}"
+        # printf-style: the bytes of f"{label:<24} {p:>10.6f} ..." in half the time
+        for outcome, p, f in cells():
+            yield "%-24s %10.6f %10.6f %10.6f" % ("(" + ",".join(outcome) + ")", p, f, abs(p - f))
         for name, pa, pe, sa, se, err in entropies:
             yield (f"marginal {name}: analytic [{' '.join(_fmt(v) for v in pa)}] "
                    f"empirical [{' '.join(_fmt(v) for v in pe)}]")
@@ -490,12 +538,12 @@ def cmd_simulate(args) -> int:
         if gap is not None:
             yield f"interference_gap: analytic {_fmt(gap[0])} empirical {_fmt(gap[1])}"
 
-    csv_rows = itertools.chain(
-        [(*args.order, "analytic", "empirical")],
-        (outcome(idx) + (_fmt(joint.table[idx]), _fmt(freqs[idx]))
-         for idx in np.ndindex(joint.table.shape)),
-    )
-    _emit(args, payload, csv_rows, table(), file=args.file, order=",".join(args.order),
+    def csv_rows():
+        yield (*args.order, "analytic", "empirical")
+        for outcome, p, f in cells():
+            yield outcome + (_fmt(p), _fmt(f))
+
+    _emit(args, payload, csv_rows(), table(), file=args.file, order=",".join(args.order),
           dim=scenario.dim, samples=args.samples, seed=args.seed, log_base=args.log_base)
     return EXIT_OK
 

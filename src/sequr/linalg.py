@@ -93,7 +93,7 @@ def default_cluster_tol(eigenvalues: np.ndarray):
     return 1e-8 * np.maximum(values[..., -1] - values[..., 0], 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Observable:
     """A Hermitian operator together with its spectral resolution.
 
@@ -102,7 +102,10 @@ class Observable:
     ascending eigenvalue. Eigenspace i spans columns ``edges[i]:edges[i + 1]``.
     Built on first use: ``eigenvectors[i]``, that column block, and the stack
     ``projectors`` (n_outcomes, dim, dim) of the orthogonal eigenprojectors, so
-    the operator is ``sum_i eigenvalues[i] * projectors[i]``.
+    the operator is ``sum_i eigenvalues[i] * projectors[i]``. ``matrix`` is a
+    read-only copy of the input, so a later write to the caller's array cannot
+    pull it away from the stored resolution. Observables compare by identity
+    and are hashable.
     """
 
     matrix: np.ndarray
@@ -178,9 +181,12 @@ def _resolve(m: np.ndarray) -> list:
     Ascending eigenvalues are split into eigenspaces wherever a gap exceeds the
     spectrum's cluster threshold. A nondegenerate spectrum keeps the ``eigh``
     eigenvalues as they are; a degenerate one reports each cluster's mean.
+    Each ``matrix`` is a view of one read-only copy of the stack.
     """
     dim = m.shape[-1]
     _check_dim(dim)
+    m = m.copy()
+    m.flags.writeable = False
     values, vectors = np.linalg.eigh(m)
     vectors.flags.writeable = False
     cuts = values[:, 1:] - values[:, :-1] > default_cluster_tol(values)[:, None]

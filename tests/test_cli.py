@@ -8,10 +8,11 @@ import re
 import numpy as np
 import pytest
 
-from sequr import bounds, qubit
-from sequr.cli import MAX_STARTS, main
+from sequr import bounds, cli, qubit
+from sequr.cli import MAX_STARTS, _json_text, main
 from sequr.linalg import spectral_resolution
-from sequr.states import random_hermitian
+from sequr.scenario import load_scenario
+from sequr.states import random_hermitian, sample_sequence, wigner_joint
 
 ZX_DOC = {
     "dim": 2,
@@ -370,6 +371,89 @@ class TestSimulate:
 
     def test_zero_samples_rejected(self, zx_file, capsys):
         assert main(["simulate", zx_file, "--order", "Z", "X", "--samples", "0"]) == 2
+
+
+def write_chain_scenario(path, dim: int, seed: int, state: bool = True) -> str:
+    """Random observables A, B, C and D, where D has two eigenvalues of multiplicity dim/2."""
+    rng = np.random.default_rng(seed)
+    matrices = {name: random_hermitian(dim, rng) for name in "ABC"}
+    _, u = np.linalg.eigh(random_hermitian(dim, rng))
+    matrices["D"] = u @ np.diag([1.0] * (dim // 2) + [-1.0] * (dim - dim // 2)) @ u.conj().T
+    doc = {"dim": dim, "observables": {
+        name: [[[z.real, z.imag] for z in row] for row in m] for name, m in matrices.items()}}
+    if state:
+        psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        doc["state"] = [[z.real, z.imag] for z in psi / np.linalg.norm(psi)]
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestJsonText:
+    """``_json_text`` writes exactly what ``json.dumps(value, indent=2)`` writes."""
+
+    @pytest.mark.parametrize("value", [
+        {}, [], (), {"a": {}, "b": [], "c": [[], {}, ()]}, [[[]]], [{}],
+        None, True, False, 0, 2**100, -(2**70), "", 'quote " backslash \\ tab \t',
+        "non-ASCII \u00e9 \u2211 \U0001f600", "new\nline", {"key \"\u00e9\n": "x"},
+        NAN, INF, -INF, -0.0, 1e-06, 5e-324, 0.1, 1e16, 1.7976931348623157e308,
+        [NAN], [1.5, NAN], [INF, 0.5], [0.1, -INF], [-0.0, 1e-06, 5e-324, 1e16],
+        {"x": [0.25, NAN], "y": [[1e-06, -0.0], [INF]]},
+        [1, 2.0, 3], [1.0, True], [0.5, None], [0.5, "0.5"], [0.5, [0.5]], (1.0, 2.0),
+        [np.float64(0.1), 0.2], {"n": np.float64(1e-07)},
+        {1: 0.5, 2.5: "x", None: True, False: NAN}, {1: [0.5, 1.5], 2.5: "x", None: {"a": 1}},
+        [0.5, [], {}, ()], {"a": 0.5, "b": [], "c": "x"},
+        {"rows": [{"a": [0.1, 0.2], "b": {"c": [[], [0.3]]}}, {"a": []}]},
+    ], ids=lambda value: type(value).__name__)
+    def test_matches_json_dumps(self, value):
+        assert _json_text(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("dim,order,state", [
+        (2, "A B", True), (2, "D A", True), (3, "A B C", False), (4, "A D B", True),
+        (4, "A B C A", False), (5, "D B", True), (8, "A B C", True), (8, "A D B C", True),
+    ])
+    def test_simulate_payload(self, dim, order, state, tmp_path, monkeypatch, capsys):
+        path = write_chain_scenario(tmp_path / "chain.json", dim, dim, state)
+        payloads = []
+        emit = cli._emit
+        monkeypatch.setattr(cli, "_emit", lambda args, payload, *rest, **header: (
+            payloads.append(payload), emit(args, payload, *rest, **header)))
+        assert main(["simulate", path, "--order", *order.split(), "--samples", "5000",
+                     "--seed", "7", "--format", "json"]) == 0
+        assert capsys.readouterr().out == json.dumps(payloads[0], indent=2) + "\n"
+
+
+def reference_rows(joint, freqs) -> tuple:
+    """Simulate's table and csv cell rows as written with ``np.ndindex`` and numpy scalars."""
+    labels = [[f"{v:.6g}" for v in ax] for ax in joint.axes]
+    table, csv_rows = [], []
+    for idx in np.ndindex(joint.table.shape):
+        outcome = tuple(labels[k][i] for k, i in enumerate(idx))
+        label = "(" + ",".join(outcome) + ")"
+        p, f = joint.table[idx], freqs[idx]
+        table.append(f"{label:<24} {p:>10.6f} {f:>10.6f} {abs(p - f):>10.6f}")
+        csv_rows.append(",".join(outcome + (f"{p:.6g}", f"{f:.6g}")))
+    return table, csv_rows
+
+
+def test_simulate_rows_match_the_ndindex_reference(tmp_path, capsys):
+    path = write_chain_scenario(tmp_path / "dim4.json", 4, 4)
+    argv = ["simulate", path, "--order", "A", "D", "B", "--samples", "100000", "--seed", "5"]
+    scenario = load_scenario(path)
+    chain, rho = scenario.pick(["A", "D", "B"]), scenario.state_or_mixed()
+    joint = wigner_joint(rho, *chain)
+    freqs = sample_sequence(rho, chain, 100000, 5) / 100000
+    table, csv_rows = reference_rows(joint, freqs)
+    assert joint.table.shape == (4, 2, 4) and len(table) == 32
+
+    assert main(argv + ["--format", "table", "--quiet"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:1 + len(table)] == table
+    assert lines[1 + len(table)].startswith("marginal A:")
+    assert main(argv + ["--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == csv_rows
 
 
 #: Dim-3 scenario whose first observable P is degenerate, so lambda_s needs a

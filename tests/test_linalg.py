@@ -113,6 +113,29 @@ class TestSpectralResolution:
             assert obs.projectors is obs.projectors
             assert "projectors" in vars(obs)
 
+    def test_matrix_is_a_read_only_copy_of_the_input(self):
+        h = np.diag([1.0, 2.0]).astype(complex)
+        obs = spectral_resolution(h)
+        h[0, 0] = 5
+        assert obs.matrix[0, 0] == 1
+        assert np.array_equal(obs.eigenvalues, [1.0, 2.0])
+        assert not np.shares_memory(obs.matrix, h)
+        with pytest.raises(ValueError):
+            obs.matrix[0, 0] = 5
+        stack = np.stack([h, h])
+        for obs in spectral_resolutions(stack):
+            assert not np.shares_memory(obs.matrix, stack)
+            assert not obs.matrix.flags.writeable
+
+    def test_observables_compare_by_identity(self):
+        h = np.diag([1.0, 2.0])
+        obs = spectral_resolution(h)
+        assert obs == obs
+        assert (spectral_resolution(h) == spectral_resolution(h)) is False
+        names = {obs: "Z"}
+        assert names[obs] == "Z"
+        assert spectral_resolution(h) not in names
+
 
 def _mixed_stack(dim, rng):
     """Generic, exactly degenerate and near-degenerate (1e-12 splits) spectra, interleaved."""
