@@ -43,25 +43,26 @@ def _quadratic_entropy(stack: np.ndarray, states: np.ndarray) -> np.ndarray:
     """Entropies of the distributions <psi|M_k|psi> for a stack of operators M_k.
 
     Row-wise like ``_entropy``: ``states`` of shape (..., dim) give values of
-    shape (...).
+    shape (...). A roundoff-negative weight lies below ``WEIGHT_FLOOR`` and adds
+    nothing; a NaN state gives a NaN value.
     """
-    return _entropy(_clip_probabilities(
-        np.einsum("kij,...i,...j->...k", stack, states.conj(), states).real))
+    return _entropy(np.einsum("kij,...i,...j->...k", stack, states.conj(), states).real)
 
 
-def _quadratic_entropy_gradient(stack: np.ndarray, state: np.ndarray) -> np.ndarray:
+def _quadratic_entropy_gradient(stack: np.ndarray, states: np.ndarray) -> np.ndarray:
     """Wirtinger gradient dS/dpsi-bar = -sum_k (log p_k + 1) M_k psi of ``_quadratic_entropy``.
 
+    Row-wise: ``states`` of shape (..., dim) give gradients of the same shape.
     Weights at or below ``WEIGHT_FLOOR`` get no log term, as the value drops
     them, so the singularity at p_k = 0 never enters. Their ``+ 1`` terms are
     kept: on a stack that sums to the identity the ``+ 1`` terms add up to a
     multiple of psi, which has no component along the unit sphere, so the
     gradient stays zero wherever the value is flat to machine precision.
     """
-    m_psi = stack @ state
-    p = (state.conj() @ m_psi.T).real
-    log_p = np.log(p, out=np.zeros_like(p), where=p > WEIGHT_FLOOR)
-    return -((log_p + 1.0) @ m_psi)
+    m_psi = np.einsum("kij,...j->...ki", stack, states)
+    p = np.einsum("...i,...ki->...k", states.conj(), m_psi).real
+    log_p = np.log(p, out=np.zeros(p.shape), where=p > WEIGHT_FLOOR)
+    return -np.einsum("...k,...ki->...i", log_p + 1.0, m_psi)
 
 
 def shannon_entropy(weights) -> float:

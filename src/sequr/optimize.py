@@ -2,14 +2,16 @@
 
 Restricting the search to pure states is exact: the entropy objectives are
 concave in the density operator, so their infimum over the convex set of all
-states is attained at an extreme point. A pure state in dimension d is
-parameterized by 2d-1 reals (first amplitude real, global phase fixed,
-normalization applied inside the objective). Each start screens a seeded
-pool of ``SCREEN_SIZE`` random states in one call of the objective, which
-picks the basin, then runs L-BFGS-B from the best of them to converge in it.
-Objectives are row-wise: they map states of shape (..., dim) to values of
-shape (...). Results are deterministic and independent of scheduling.
-Entropy objectives are in nats.
+states is attained at an extreme point. Each start screens a seeded pool of
+``SCREEN_SIZE`` random states (each drawn as 2d-1 reals: first amplitude real,
+global phase fixed) in one call of the objective, which picks the basin. All
+starts then descend together on the unit sphere: Riemannian gradient descent
+with Barzilai-Borwein step sizes and Armijo backtracking (Absil, Mahony &
+Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008; Barzilai &
+Borwein, IMA J. Numer. Anal. 8, 141 (1988)), one objective call and one
+gradient call per step for every start still running. Objectives are
+row-wise: they map states of shape (..., dim) to values of shape (...).
+Results are deterministic for a fixed config. Entropy objectives are in nats.
 """
 
 from __future__ import annotations
@@ -18,26 +20,28 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
 from .entropy import _quadratic_entropy, _quadratic_entropy_gradient
 from .errors import OptimizerFailure
 from .linalg import Observable
 from .states import _sequential_stacks
 
-_NORM_FLOOR = 1e-12
-_PENALTY = 1e30
-#: Random states each start screens in one objective call; L-BFGS-B starts
-#: from the best. The screen only has to reach the basin: L-BFGS-B then
+#: Random states each start screens in one objective call; the descent starts
+#: from the best. The screen only has to reach the basin: the descent then
 #: converges in it.
 SCREEN_SIZE = 32
-#: L-BFGS-B stopping tolerances: projected-gradient norm and relative value change.
-#: Near an optimum with vanishing outcome probabilities the value stops
-#: resolving changes at gradient norms of about 1e-7, where a smaller
-#: ``_GTOL`` ends the line search abnormally instead of converging.
+#: A start stops when the norm of its tangent gradient falls below ``_GTOL`` or
+#: a trial changes its value by at most ``_FTOL`` times the value, accepted or
+#: not: next to a vanishing outcome probability the value stops resolving
+#: steps before the gradient vanishes. The change is relative to the value
+#: alone, so a start at an exact zero of the objective stops only there.
 _GTOL = 1e-6
 _FTOL = 1e-12
-#: L-BFGS-B iteration cap of each start.
+#: Sufficient-decrease constant of the Armijo rule.
+_ARMIJO = 1e-4
+#: Step length of every start's first step, as an arc length on the sphere.
+_FIRST_ARC = 0.1
+#: Steps each start may try, backtracking included.
 _MAX_ITERATIONS = 2000
 
 
@@ -60,7 +64,7 @@ class OptimizerResult:
     minimizer: np.ndarray  # unit vector achieving ``value``
     starts_converged: int
     per_start_values: tuple
-    evaluations: int  # states evaluated: the screens plus every L-BFGS-B point
+    evaluations: int  # states evaluated: the screens plus every trial point
 
 
 def _params_to_vector(params: np.ndarray) -> np.ndarray:
@@ -71,53 +75,39 @@ def _params_to_vector(params: np.ndarray) -> np.ndarray:
     return v
 
 
-def _params_to_state(params: np.ndarray) -> np.ndarray | None:
-    v = _params_to_vector(params)
-    norm = np.linalg.norm(v)
-    if norm < _NORM_FLOOR:
-        return None
-    return v / norm
+def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Re <u|v> of each row pair: the real inner product of C^dim as R^(2 dim)."""
+    return (u.conj() * v).sum(axis=-1).real
 
 
-def _param_gradient(params: np.ndarray, gradient) -> np.ndarray:
-    """Gradient of F(v / |v|) in the 2d-1 reals, given ``gradient(psi) = dF/dpsi-bar``.
+def _tangent_gradient(gradient, states: np.ndarray) -> np.ndarray:
+    """Gradient on the unit sphere, 2 (g - psi Re <psi|g>), at rows ``states``.
 
-    With psi = v / |v|, dF = (2 / |v|) Re <g - psi <psi|g>, dv>: the radial
-    and phase directions are projected out, then the real and imaginary parts
-    of the remaining vector are the derivatives along the real parameters.
+    ``g = gradient(states)`` is dF/dpsi-bar, so 2 g is the gradient of F in the
+    real coordinates of C^dim; removing its radial part leaves the tangent one.
     """
-    out = np.zeros(len(params))
-    v = _params_to_vector(params)
-    norm = np.linalg.norm(v)
-    if norm < _NORM_FLOOR:
-        return out
-    state = v / norm
-    g = gradient(state)
-    g = (2.0 / norm) * (g - state * np.vdot(state, g))
-    out[0] = g[0].real
-    out[1::2] = g[1:].real
-    out[2::2] = g[1:].imag
-    return out
+    g = gradient(states)
+    return 2.0 * (g - states * _row_dot(states, g)[:, None])
 
 
-def minimize_over_pure_states(
-    objective, dim: int, config: OptimizerConfig, gradient=None,
-) -> OptimizerResult:
+def minimize_over_pure_states(objective, dim: int, config: OptimizerConfig,
+                              gradient) -> OptimizerResult:
     """Multi-start minimization of ``objective`` over unit vectors in C^dim.
 
     ``objective`` is row-wise: it maps unit vectors of shape (..., dim) to
-    values of shape (...). ``gradient(state)``, if given, returns dF/dpsi-bar
-    (the Wirtinger gradient) at one unit vector; without it L-BFGS-B uses
-    finite differences. Start k draws a pool of ``SCREEN_SIZE`` parameter rows
-    from a generator seeded with ``config.seed + k``, evaluates all of them in
-    one objective call, and runs L-BFGS-B from the lowest, so the result
-    depends only on the config. The reported value is the minimum over
+    values of shape (...). ``gradient`` maps unit vectors of shape (n, dim) to
+    dF/dpsi-bar (the Wirtinger gradient) of shape (n, dim). Start k draws a
+    pool of ``SCREEN_SIZE`` parameter rows from a generator seeded with
+    ``config.seed + k``, evaluates all of them in one objective call and
+    descends from the lowest, so the result depends only on the config. Each
+    start steps along minus its ``_tangent_gradient`` by its own
+    Barzilai-Borwein length and renormalizes; a trial that fails the Armijo
+    rule halves that start's step. The reported value is the minimum over
     starts; the reported minimizer is the lowest-indexed start within
-    ``value_tolerance`` of it. A start counts as converged when L-BFGS-B
-    does. Raises ``OptimizerFailure`` if the objective goes non-finite or no
-    start converges.
+    ``value_tolerance`` of it. A start counts as converged when it stops by
+    ``_GTOL`` or ``_FTOL`` within ``_MAX_ITERATIONS`` trials. Raises
+    ``OptimizerFailure`` if the objective goes non-finite or no start converges.
     """
-    n_params = 2 * dim - 1
 
     def checked(states):
         values = np.asarray(objective(states), dtype=float)
@@ -125,59 +115,73 @@ def minimize_over_pure_states(
             raise OptimizerFailure("objective returned a non-finite value")
         return values
 
-    def wrapped(params):
-        state = _params_to_state(params)
-        return _PENALTY if state is None else checked(state)
-
-    jac = None if gradient is None else partial(_param_gradient, gradient=gradient)
-    values = []
-    states = []
-    converged = 0
-    evaluations = 0
+    x = np.empty((config.starts, dim), dtype=complex)
+    f = np.empty(config.starts)
     for k in range(config.starts):
-        pool = np.random.default_rng(config.seed + k).standard_normal((SCREEN_SIZE, n_params))
+        pool = np.random.default_rng(config.seed + k).standard_normal((SCREEN_SIZE, 2 * dim - 1))
         screen = _params_to_vector(pool)
         screen /= np.linalg.norm(screen, axis=1, keepdims=True)
-        x0 = pool[np.argmin(checked(screen))]
-        res = _scipy_minimize(
-            wrapped, x0, method="L-BFGS-B", jac=jac,
-            options={"gtol": _GTOL, "ftol": _FTOL, "maxiter": _MAX_ITERATIONS},
-        )
-        if res.success:
-            converged += 1
-        evaluations += SCREEN_SIZE + res.nfev
-        values.append(float(res.fun))
-        states.append(_params_to_state(res.x))
+        values = checked(screen)
+        best = np.argmin(values)
+        x[k], f[k] = screen[best], values[best]
+    evaluations = SCREEN_SIZE * config.starts
 
-    if converged == 0:
+    g = _tangent_gradient(gradient, x)
+    slope = _row_dot(g, g)  # squared tangent-gradient norm
+    step = _FIRST_ARC / np.maximum(np.sqrt(slope), _GTOL)
+    converged = slope < _GTOL**2
+    live = np.flatnonzero(~converged)
+    for _ in range(_MAX_ITERATIONS):
+        if not live.size:
+            break
+        trial = x[live] - step[live, None] * g[live]
+        trial /= np.linalg.norm(trial, axis=1, keepdims=True)
+        f_trial = checked(trial)
+        evaluations += live.size
+        stalled = np.abs(f[live] - f_trial) <= _FTOL * np.abs(f[live])
+        accept = f_trial <= f[live] - _ARMIJO * step[live] * slope[live]
+        step[live[~accept]] *= 0.5
+
+        moved = live[accept]
+        g_new = _tangent_gradient(gradient, trial[accept]) if moved.size else g[moved]
+        # Barzilai-Borwein length <s, s> / <s, y> from the step s = -step g
+        # and the gradient change y; a step along negative curvature doubles
+        y = g_new - g[moved]
+        sy = -step[moved] * _row_dot(g[moved], y)
+        ss = step[moved] ** 2 * slope[moved]
+        curved = sy > 0.0
+        step[moved] *= 2.0
+        step[moved[curved]] = ss[curved] / sy[curved]
+        x[moved], f[moved], g[moved] = trial[accept], f_trial[accept], g_new
+        slope[moved] = _row_dot(g_new, g_new)
+
+        done = stalled.copy()
+        done[accept] |= slope[moved] < _GTOL**2
+        converged[live[done]] = True
+        live = live[~done]
+
+    if not converged.any():
         raise OptimizerFailure("no optimizer start converged")
 
-    best = min(values)
-    chosen = next(
-        (i for i, (v, s) in enumerate(zip(values, states))
-         if s is not None and v <= best + config.value_tolerance),
-        None,
-    )
-    if chosen is None:
-        raise OptimizerFailure("no start produced a valid state")
+    best = f.min()
+    chosen = int(np.argmax(f <= best + config.value_tolerance))
     return OptimizerResult(
-        value=best,
-        minimizer=states[chosen],
-        starts_converged=converged,
-        per_start_values=tuple(values),
+        value=float(best),
+        minimizer=x[chosen],
+        starts_converged=int(converged.sum()),
+        per_start_values=tuple(float(v) for v in f),
         evaluations=evaluations,
     )
 
 
-def minimize_in_subspace(
-    objective, basis, config: OptimizerConfig, gradient=None,
-) -> OptimizerResult:
+def minimize_in_subspace(objective, basis, config: OptimizerConfig,
+                         gradient) -> OptimizerResult:
     """Minimize over unit vectors in the span of an orthonormal ``basis``.
 
-    Coefficients in the basis are parameterized exactly like a full-space
-    state, then mapped back, so a full-space basis reproduces
+    Coefficients in the basis are searched exactly like a full-space state,
+    then mapped back, so a full-space basis reproduces
     ``minimize_over_pure_states``. ``gradient`` is the full-space dF/dpsi-bar;
-    the coefficient gradient is B^dagger g(B c).
+    the coefficient gradient is B^dagger g(B c), for rows c as g(c B^T) B-bar.
     """
     vectors = [np.asarray(v, dtype=complex).ravel() for v in basis]
     if not vectors:
@@ -190,15 +194,8 @@ def minimize_in_subspace(
         return OptimizerResult(value=value, minimizer=vec, starts_converged=1,
                                per_start_values=(value,), evaluations=1)
 
-    coefficient_gradient = None
-    if gradient is not None:
-        adjoint = basis.conj().T
-
-        def coefficient_gradient(c):
-            return adjoint @ gradient(basis @ c)
-
     result = minimize_over_pure_states(lambda c: objective(c @ basis.T), k, config,
-                                       gradient=coefficient_gradient)
+                                       lambda c: gradient(c @ basis.T) @ basis.conj())
     return replace(result, minimizer=basis @ result.minimizer)
 
 
@@ -206,14 +203,8 @@ def _lambda_result(stacks, dim, config) -> OptimizerResult:
     # each stack's expectations sum to 1, so the entropy of the concatenated
     # distribution equals the sum of the per-observable entropies
     merged = np.concatenate(stacks, axis=0)
-
-    def objective(state):
-        return _quadratic_entropy(merged, state)
-
-    def gradient(state):
-        return _quadratic_entropy_gradient(merged, state)
-
-    return minimize_over_pure_states(objective, dim, config, gradient=gradient)
+    return minimize_over_pure_states(partial(_quadratic_entropy, merged), dim, config,
+                                     gradient=partial(_quadratic_entropy_gradient, merged))
 
 
 def lambda_d_numeric(a: Observable, b: Observable,

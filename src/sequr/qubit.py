@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .entropy import _entropy
 from .linalg import Observable, spectral_resolution
@@ -30,7 +29,6 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 #: Grid over one full period of the in-plane entropy sum, phi in [0, pi].
 _PHI_GRID = np.linspace(0.0, math.pi, 257)
-_PHI_STEP = _PHI_GRID[1]
 
 #: Slack allowed in each inequality of ``ThetaCurvePoint.chain_margins``.
 CHAIN_SLACK = 1e-6
@@ -75,12 +73,16 @@ def theta_star() -> float:
     """Boundary angle of the low closed-form regime, in radians (about 67 degrees).
 
     Root of cos(t/2) log[(1 + cos t/2)/(1 - cos t/2)] = 2; the left side falls
-    monotonically from +inf at 0 to 0 at pi, so the bracket is guaranteed.
+    monotonically from +inf at 0 to 0 at pi, so bisection of that bracket
+    runs until the midpoint rounds to an end of it.
     """
-    return float(
-        brentq(lambda t: _theta_star_lhs(t) - 2.0, 1e-9, math.pi - 1e-9,
-               xtol=1e-15, rtol=8.9e-16)
-    )
+    lo, hi = 1e-9, math.pi - 1e-9
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _theta_star_lhs(mid) > 2.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def _plane_entropy_sum(phi, theta: float):
@@ -91,29 +93,26 @@ def _plane_entropy_sum(phi, theta: float):
     Vectorized over ``phi``; period pi in ``phi``.
     """
     half = 0.5 * np.stack([phi, theta - phi])
-    # filled in place: a stack along the last axis costs Brent a copy per step
-    weights = np.empty(half.shape + (2,))
-    np.square(np.cos(half), out=weights[..., 0])
-    np.square(np.sin(half), out=weights[..., 1])
-    return _entropy(weights).sum(axis=0)
+    return _entropy(np.stack([np.cos(half) ** 2, np.sin(half) ** 2], axis=-1)).sum(axis=0)
 
 
 def _middle_search(theta: float) -> float:
-    """Minimum of ``_plane_entropy_sum`` over phi: grid scan, then bounded Brent.
+    """Minimum of ``_plane_entropy_sum`` over phi: a grid scan, repeated on finer grids.
 
-    Brent searches the two grid cells around the grid minimum. The smaller of
-    its value and the grid minimum is returned, so the result is always the
-    entropy sum of an actual state.
+    The 257-point scan over one period is repeated on the two cells around
+    each scan's minimum until those cells span under 1e-12. The smallest value
+    seen is returned, so the result is always the entropy sum of an actual state.
     """
-    values = _plane_entropy_sum(_PHI_GRID, theta)
-    best = int(np.argmin(values))
-    centre = _PHI_GRID[best]
-    refined = minimize_scalar(
-        lambda phi: float(_plane_entropy_sum(phi, theta)),
-        bounds=(centre - _PHI_STEP, centre + _PHI_STEP),
-        method="bounded", options={"xatol": 1e-12},
-    )
-    return min(float(refined.fun), float(values[best]))
+    grid = _PHI_GRID
+    lowest = math.inf
+    while True:
+        values = _plane_entropy_sum(grid, theta)
+        best = int(np.argmin(values))
+        lowest = min(lowest, float(values[best]))
+        step = grid[1] - grid[0]
+        if 2.0 * step < 1e-12:
+            return lowest
+        grid = np.linspace(grid[best] - step, grid[best] + step, len(_PHI_GRID))
 
 
 def sanchez_ruiz_theta(theta: float):
@@ -122,8 +121,8 @@ def sanchez_ruiz_theta(theta: float):
     Returns ``(value, regime)`` with regime one of ``low`` (closed form,
     attained in eigenstates of sigma.(n1+n2)), ``high`` (closed form, attained
     in eigenstates of sigma.(n1-n2)) or ``middle-search`` (minimum over the
-    in-plane Bloch angle: a 257-point grid over one period, refined by
-    bounded Brent; computed afresh on every call).
+    in-plane Bloch angle: a 257-point grid over one period, repeated on finer
+    grids around its minimum; computed afresh on every call).
     """
     if not 0.0 <= theta <= math.pi + 1e-12:
         raise ValueError("theta must lie in [0, pi]")

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
+import numpy.random  # noqa: F401  (numpy 2 imports it lazily, inside the first seeded call)
 
 from .linalg import Observable, _check_dim, _hermitian, as_complex_matrix, spectral_resolution
 
@@ -260,7 +261,9 @@ def sample_sequence(rho: np.ndarray, chain, n: int, seed: int) -> np.ndarray:
     outcomes is multinomial, exactly as if each tuple were drawn one at a
     time), so runtime does not scale with ``n``. Branches are visited depth
     first. Deterministic for a fixed ``seed``; zero-probability branches are
-    never visited. The analytic table of ``wigner_joint`` is never read.
+    never visited. ``rho`` is checked once, as ``check_density`` checks its
+    eigenvalues, so a branch weight that roundoff makes negative counts as
+    zero. The analytic table of ``wigner_joint`` is never read.
     """
     if n < 1:
         raise ValueError("sample count must be >= 1")
@@ -268,6 +271,10 @@ def sample_sequence(rho: np.ndarray, chain, n: int, seed: int) -> np.ndarray:
         raise ValueError(f"sample count {n} exceeds the limit of {MAX_SAMPLES}")
     chain = list(chain)
     shape = _table_shape(rho, chain)
+    rho = np.asarray(rho, dtype=complex)
+    # finite first: eigvalsh can return finite eigenvalues for a NaN matrix
+    if not (np.isfinite(rho).all() and np.linalg.eigvalsh(rho).min() >= -1e-10):
+        raise ValueError("state must be finite with no eigenvalue below -1e-10")
     overlaps = _chain_overlaps(chain)
     heads = [np.array(obs.edges[:-1]) for obs in chain]  # reduceat indices, converted once
     rng = np.random.default_rng(seed)
@@ -278,7 +285,7 @@ def sample_sequence(rho: np.ndarray, chain, n: int, seed: int) -> np.ndarray:
         t = overlaps[depth][j]
         bounds = chain[depth].edges
         carried = t @ block @ t.conj().T
-        probs = _clip_probabilities(np.add.reduceat(carried.diagonal().real, heads[depth]))
+        probs = np.maximum(np.add.reduceat(carried.diagonal().real, heads[depth]), 0.0)
         split = rng.multinomial(count, probs / probs.sum())
         if depth == last:
             counts[idx] = split
@@ -289,7 +296,7 @@ def sample_sequence(rho: np.ndarray, chain, n: int, seed: int) -> np.ndarray:
             lo, hi = bounds[i], bounds[i + 1]
             descend(carried[lo:hi, lo:hi] / probs[i], i, c, depth + 1, idx + (i,))
 
-    descend(np.asarray(rho, dtype=complex), 0, n, 0, ())
+    descend(rho, 0, n, 0, ())
     return counts
 
 

@@ -2,8 +2,11 @@ import csv
 import io
 import json
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -568,3 +571,18 @@ def test_golden_failing_verify(fmt, monkeypatch, capsys):
     assert main(GOLDEN_CASES["verify"] + ["--format", fmt]) == 1
     expected = (GOLDEN_DIR / f"verify-fail.{fmt}").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
+
+
+def test_import_loads_no_scipy():
+    """A cold ``import sequr.cli`` loads no scipy module and has ``numpy.random`` loaded.
+
+    numpy 2 loads ``numpy.random`` on first use; loaded with the package, its
+    import is not paid inside the first seeded call of a command.
+    """
+    script = ("import sys, sequr.cli; print(sorted(m for m in sys.modules "
+              "if m == 'scipy' or m.startswith('scipy.'))); print('numpy.random' in sys.modules)")
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out.split("\n")[:2] == ["[]", "True"]

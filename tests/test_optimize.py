@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from sequr import optimize
-from sequr.bounds import krishna_parthasarathy_bound, lambda_s_two
+from sequr.bounds import krishna_parthasarathy_bound, lambda_s_chain, lambda_s_two
+from sequr.entropy import _quadratic_entropy_gradient
 from sequr.errors import OptimizerFailure
 from sequr.linalg import spectral_resolution
 from sequr.optimize import (
@@ -34,6 +35,15 @@ def expectation(operator):
     return lambda psi: np.einsum("...i,ij,...j->...", psi.conj(), operator, psi).real
 
 
+def expectation_gradient(operator):
+    """Row-wise dF/dpsi-bar = operator psi of ``expectation(operator)``."""
+    return lambda psi: psi @ operator.T
+
+
+def zero_gradient(psi):
+    return np.zeros_like(psi)
+
+
 def tilted_spin(deg):
     theta = math.radians(deg)
     return spin_observable((math.sin(theta), 0.0, math.cos(theta)))
@@ -41,14 +51,15 @@ def tilted_spin(deg):
 
 class TestMinimizeOverPureStates:
     def test_expectation_reaches_smallest_eigenvalue(self):
-        result = minimize_over_pure_states(expectation(PAULI_Z), dim=2, config=CFG)
+        result = minimize_over_pure_states(expectation(PAULI_Z), dim=2, config=CFG,
+                                           gradient=expectation_gradient(PAULI_Z))
         assert result.value == pytest.approx(-1.0, abs=1e-8)
         # minimizer is |z-> up to phase
         assert abs(result.minimizer[1]) == pytest.approx(1.0, abs=1e-4)
 
     def test_constant_objective(self):
         result = minimize_over_pure_states(lambda psi: np.full(psi.shape[:-1], 2.5),
-                                           dim=3, config=CFG)
+                                           dim=3, config=CFG, gradient=zero_gradient)
         assert result.value == 2.5
         assert np.linalg.norm(result.minimizer) == pytest.approx(1.0)
 
@@ -61,8 +72,10 @@ class TestMinimizeOverPureStates:
                                   psi[..., 0] - psi[..., 1]], axis=-1)) ** 2 / 2
             return entropy_of(pz) + entropy_of(px)
 
-        result = minimize_over_pure_states(objective, dim=2,
-                                           config=OptimizerConfig(starts=16, seed=3))
+        stack = np.concatenate([spectral_resolution(m).projectors for m in (z, x)])
+        result = minimize_over_pure_states(
+            objective, dim=2, config=OptimizerConfig(starts=16, seed=3),
+            gradient=lambda psi: _quadratic_entropy_gradient(stack, psi))
         assert result.value == pytest.approx(0.693, abs=5e-4)
 
     def test_determinism(self):
@@ -73,8 +86,11 @@ class TestMinimizeOverPureStates:
                 np.einsum("kij,...i,...j->...k", obs.projectors, psi.conj(), psi).real
             )
 
-        first = minimize_over_pure_states(objective, 3, CFG)
-        second = minimize_over_pure_states(objective, 3, CFG)
+        def gradient(psi):
+            return _quadratic_entropy_gradient(obs.projectors, psi)
+
+        first = minimize_over_pure_states(objective, 3, CFG, gradient)
+        second = minimize_over_pure_states(objective, 3, CFG, gradient)
         assert first.value == second.value
         assert first.per_start_values == second.per_start_values
         assert np.array_equal(first.minimizer, second.minimizer)
@@ -82,14 +98,22 @@ class TestMinimizeOverPureStates:
     def test_result_invariants(self):
         objective = expectation(PAULI_X)
 
-        result = minimize_over_pure_states(objective, 2, CFG)
+        result = minimize_over_pure_states(objective, 2, CFG, expectation_gradient(PAULI_X))
         assert result.value == min(result.per_start_values)
         assert objective(result.minimizer) == pytest.approx(result.value, abs=1e-9)
         assert result.starts_converged >= 1
 
     def test_non_finite_objective_raises(self):
         with pytest.raises(OptimizerFailure, match="non-finite"):
-            minimize_over_pure_states(lambda psi: math.inf, 2, CFG)
+            minimize_over_pure_states(lambda psi: math.inf, 2, CFG, zero_gradient)
+
+    def test_nan_stack_raises(self, sigma_z, sigma_x):
+        # the objective checks no probability itself: a NaN operator entry
+        # must still stop the search at its finite-value check
+        stack = np.concatenate([sigma_z.projectors, sigma_x.projectors])
+        stack[0, 0, 0] = math.nan
+        with pytest.raises(OptimizerFailure, match="non-finite"):
+            optimize._lambda_result([stack], 2, CFG)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -102,7 +126,8 @@ class TestMinimizeInSubspace:
     def test_one_dimensional_subspace(self):
         basis = [np.array([0.0, 1.0], dtype=complex)]
         result = minimize_in_subspace(
-            lambda psi: float((psi.conj() @ PAULI_Z @ psi).real), basis, CFG
+            lambda psi: float((psi.conj() @ PAULI_Z @ psi).real), basis, CFG,
+            expectation_gradient(PAULI_Z),
         )
         assert result.value == pytest.approx(-1.0)
         assert result.evaluations == 1
@@ -112,13 +137,14 @@ class TestMinimizeInSubspace:
         objective = expectation(obs.matrix)
 
         basis = [np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)]
-        sub = minimize_in_subspace(objective, basis, CFG)
-        full = minimize_over_pure_states(objective, 2, CFG)
+        gradient = expectation_gradient(obs.matrix)
+        sub = minimize_in_subspace(objective, basis, CFG, gradient)
+        full = minimize_over_pure_states(objective, 2, CFG, gradient)
         assert sub.value == pytest.approx(full.value, abs=1e-8)
 
     def test_empty_basis_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
-            minimize_in_subspace(lambda psi: 0.0, [], CFG)
+            minimize_in_subspace(lambda psi: 0.0, [], CFG, zero_gradient)
 
     def test_whole_space_eigenspace_x_entropy(self, sigma_x):
         # first observable is the identity: the search space is all of C^2 and
@@ -129,8 +155,9 @@ class TestMinimizeInSubspace:
             return entropy_of(p)
 
         basis = [np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)]
-        result = minimize_in_subspace(objective, basis,
-                                      OptimizerConfig(starts=16, seed=11))
+        result = minimize_in_subspace(
+            objective, basis, OptimizerConfig(starts=16, seed=11),
+            lambda psi: _quadratic_entropy_gradient(sigma_x.projectors, psi))
         assert result.value <= 1e-6
 
         # oracle: dense Bloch-sphere scan at 0.5 degree resolution
@@ -258,15 +285,13 @@ def wirtinger_differences(f, psi, h=1e-6):
     return grad
 
 
-def parameter_differences(objective, params, h=1e-6):
-    """Central differences of ``objective`` composed with the driver's 2d-1 parameterization."""
-    grad = np.empty(len(params))
-    for j in range(len(params)):
-        e = np.zeros(len(params))
-        e[j] = h
-        grad[j] = (objective(optimize._params_to_state(params + e))
-                   - objective(optimize._params_to_state(params - e))) / (2 * h)
-    return grad
+def sphere_difference(f, psi, v, h=1e-6):
+    """Central difference of F along the curve (psi + t v) / |psi + t v| at t = 0."""
+    def at(t):
+        w = psi + t * v
+        return f(w / np.linalg.norm(w))
+
+    return (at(h) - at(-h)) / (2 * h)
 
 
 def degenerate_observable(dim, rng):
@@ -317,12 +342,21 @@ class TestEntropyGradient:
                 expected = wirtinger_differences(objective, psi)
                 assert np.abs(gradient(psi) - expected).max() <= 1e-7
 
-                # off the unit sphere, so a wrong 2/|v| factor or a missing
-                # radial projection changes the result
-                params = 2.7 * rng.standard_normal(2 * n - 1)
-                expected = parameter_differences(objective, params)
-                actual = optimize._param_gradient(params, gradient)
-                assert np.abs(actual - expected).max() <= 1e-7
+                # the driver's gradient on the sphere gives the slope along
+                # every direction v, radial parts included, as Re <G|v>; a
+                # wrong factor 2 or a missing radial projection changes it
+                tangent = optimize._tangent_gradient(gradient, psi[None])[0]
+                for _ in range(3):
+                    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                    expected = sphere_difference(objective, psi, v)
+                    assert abs(np.vdot(tangent, v).real - expected) <= 1e-7
+
+            # row-wise: a stack of states gives the gradient of each row
+            rows = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+            rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+            stacked = gradient(rows)
+            for row, g in zip(rows, stacked):
+                assert np.abs(g - gradient(row)).max() <= 1e-15
 
 
 class TestSingleStart:
@@ -342,25 +376,30 @@ class TestScreen:
 
     def test_screen_rows_are_seeded_unit_states(self):
         dim, config = 3, OptimizerConfig(starts=4, seed=21)
-        energy = expectation(np.diag([1.0, 0.0, -1.0]))
-        screens = []
+        matrix = np.diag([1.0, 0.0, -1.0])
+        energy = expectation(matrix)
+        calls = []
 
         def objective(psi):
-            if psi.ndim == 2:
-                screens.append(psi.copy())
+            calls.append(psi.copy())
             return energy(psi)
 
-        minimize_over_pure_states(objective, dim, config)
-        assert len(screens) == config.starts
+        minimize_over_pure_states(objective, dim, config, expectation_gradient(matrix))
+        screens, steps = calls[:config.starts], calls[config.starts:]
         for k, screen in enumerate(screens):
             assert screen.shape == (optimize.SCREEN_SIZE, dim)
             assert np.allclose(np.linalg.norm(screen, axis=1), 1.0, rtol=0, atol=1e-12)
-            x0 = np.random.default_rng(config.seed + k).standard_normal(2 * dim - 1)
-            assert np.array_equal(screen[0], optimize._params_to_state(x0))
+            x0 = optimize._params_to_vector(
+                np.random.default_rng(config.seed + k).standard_normal(2 * dim - 1))
+            assert np.array_equal(screen[0], x0 / np.linalg.norm(x0))
+        # then the starts descend in lockstep: each later call holds one trial
+        # row of every start still running, and stopped starts never return
+        sizes = [len(step) for step in steps]
+        assert sizes and sizes[0] == config.starts
+        assert sizes == sorted(sizes, reverse=True)
 
-    @pytest.mark.parametrize("with_gradient", [False, True])
     @pytest.mark.parametrize("dim", [2, 5])
-    def test_evaluations_count_states(self, dim, with_gradient):
+    def test_evaluations_count_states(self, dim):
         obs = random_observable(dim, seed=41)
         counted = expectation(obs.matrix)
         rows = 0
@@ -371,8 +410,8 @@ class TestScreen:
             return counted(psi)
 
         config = OptimizerConfig(starts=5, seed=3)
-        gradient = (lambda psi: obs.matrix @ psi) if with_gradient else None
-        result = minimize_over_pure_states(objective, dim, config, gradient=gradient)
+        result = minimize_over_pure_states(objective, dim, config,
+                                           gradient=expectation_gradient(obs.matrix))
         assert result.evaluations == rows
         assert result.evaluations > optimize.SCREEN_SIZE * config.starts
 
@@ -389,3 +428,22 @@ def test_dim8_basin_coverage():
         if result.value - lambda_s_two(a, b) > 1e-4:
             misses.append(i)
     assert len(misses) <= 6, misses
+
+
+def test_basin_study():
+    # the whole basin study: 600 dim-2/3 pairs, 40 dim-8 pairs and 40 dim-8
+    # triples, 16 starts each; a search stopping more than 1e-4 (pairs) or
+    # 1e-3 (triples) above the closed form is a miss
+    instances = [("pair", i, [random_observable(2 + i % 2, 70000 + i),
+                              random_observable(2 + i % 2, 80000 + i)], 5000 + i, 1e-4)
+                 for i in range(600)]
+    instances += [("dim-8 pair", i, [random_observable(8, 90000 + i),
+                                     random_observable(8, 91000 + i)], 5600 + i, 1e-4)
+                  for i in range(40)]
+    instances += [("dim-8 triple", i, [random_observable(8, seed + i)
+                                       for seed in (92000, 93000, 94000)], 5700 + i, 1e-3)
+                  for i in range(40)]
+    misses = [(kind, i) for kind, i, chain, seed, tol in instances
+              if lambda_s_chain_numeric(chain, OptimizerConfig(starts=16, seed=seed)).value
+              - lambda_s_chain(chain).common_state > tol]
+    assert len(misses) <= 5, misses

@@ -9,7 +9,6 @@ from sequr.entropy import entropy_distinct
 from sequr.optimize import OptimizerConfig, lambda_d_numeric
 from sequr.qubit import (
     _PHI_GRID,
-    _PHI_STEP,
     PAULI_X,
     PAULI_Z,
     _middle_search,
@@ -241,7 +240,7 @@ class TestMiddleSearch:
         # minimum minus that much slope is a lower bound on every state
         for theta in np.linspace(theta_star(), math.pi - theta_star(), 43)[1:-1]:
             floor = (_plane_entropy_sum(_PHI_GRID, theta).min()
-                     - 2.0 * SLOPE_BOUND * _PHI_STEP / 2.0)
+                     - 2.0 * SLOPE_BOUND * _PHI_GRID[1] / 2.0)
             result = lambda_d_numeric(*_tilted_pair(theta),
                                       OptimizerConfig(starts=16, seed=1))
             assert floor <= min(result.per_start_values), math.degrees(theta)

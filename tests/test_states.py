@@ -179,6 +179,21 @@ class TestSampleSequence:
         with pytest.raises(ValueError, match="exceeds the limit"):
             build(z_plus, [sigma_z] * k)
 
+    @pytest.mark.parametrize("build", [
+        lambda rho, chain: wigner_joint(rho, *chain),
+        lambda rho, chain: sample_sequence(rho, chain, n=100, seed=0),
+    ], ids=["wigner_joint", "sample_sequence"])
+    @pytest.mark.parametrize("entry, value", [((0, 0), np.nan), ((0, 1), np.nan), ((1, 1), -0.5)],
+                             ids=["nan-diagonal", "nan-off-diagonal", "negative"])
+    def test_invalid_state_raises(self, sigma_z, sigma_x, build, entry, value):
+        # a NaN on the diagonal reaches every outcome, off the diagonal only
+        # those of the second observable; diag(1.5, -0.5) has a negative
+        # outcome probability
+        rho = np.diag([1.5 if value < 0 else 0.5, 0.5]).astype(complex)
+        rho[entry] = value
+        with pytest.raises(ValueError):
+            build(rho, [sigma_z, sigma_x])
+
     def test_monte_carlo_matches_wigner_joint(self):
         """Every cell within 4 sigma of the analytic probability, 20 scenarios."""
         n = 10**5

@@ -5,7 +5,8 @@
 private, or moved to another module, would silently read 0 ms. It counts
 objective calls by replacing positional argument 0 of
 ``minimize_over_pure_states`` with a counting wrapper (one call per start
-screens ``SCREEN_SIZE`` states, then one call per L-BFGS-B point), reads the
+screens ``SCREEN_SIZE`` states, then one call per descent step evaluates a
+trial state of every start still running), reads the
 config from position 2, and counts subspace searches from
 ``minimize_in_subspace`` spans under ``bounds``. ``table1`` and ``sweep``
 compute the qubit middle band with a one-angle search, so they start no
