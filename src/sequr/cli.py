@@ -107,6 +107,44 @@ def _flat_json(separator: str):
     return json.JSONEncoder(separators=(separator, ": ")).encode
 
 
+def _array_json(array: np.ndarray, indent: str) -> str:
+    """``json.dumps(array.tolist(), indent=2)``, byte for byte, nested at ``indent``.
+
+    A float array is written with each distinct value formatted once: cells
+    are deduplicated on their bit pattern, so ``-0.0``, ``0.0`` and NaN keep
+    their own texts, and the distinct values go through one ``json.dumps`` of
+    their list, which writes json's own float repr (``NaN``, ``Infinity``).
+    Each cell's text is gathered with the text that follows it (a separator,
+    and the brackets of the rows that end and begin there), and all of them
+    are joined at once. Other arrays, and arrays with no cells, go through
+    ``tolist``.
+    """
+    if array.dtype != np.float64 or array.size == 0 or array.ndim == 0:
+        return _json_text(array.tolist(), indent)
+    distinct, where = np.unique(array.reshape(-1).view(np.int64), return_inverse=True)
+    texts = np.array(json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", "),
+                     dtype=object)
+    depth = array.ndim
+    pads = [indent + "  " * level for level in range(depth + 1)]
+    # after[r] follows a cell where the last r axes end: r closing brackets,
+    # the comma, and r opening ones
+    after = np.array([
+        "".join(f"\n{pads[depth - 1 - k]}]" for k in range(r)) + f",\n{pads[depth - r]}"
+        + "".join(f"[\n{pads[depth - r + 1 + k]}" for k in range(r))
+        for r in range(depth)], dtype=object)
+    ends = np.zeros(array.shape, dtype=np.intp)
+    for r in range(1, depth):
+        ends[(Ellipsis,) + (-1,) * r] += 1
+    ends = ends.reshape(-1)
+    tokens = (texts + after[0])[where]
+    wraps = np.flatnonzero(ends)
+    tokens[wraps] = texts[where[wraps]] + after[ends[wraps]]
+    tokens[-1] = texts[where[-1]]
+    return ("".join(f"[\n{pads[level + 1]}" for level in range(depth))
+            + "".join(tokens.tolist())
+            + "".join(f"\n{pads[depth - 1 - level]}]" for level in range(depth)))
+
+
 def _json_text(value, indent: str = "") -> str:
     """``json.dumps(value, indent=2)``, byte for byte, for a value nested at ``indent``.
 
@@ -114,8 +152,11 @@ def _json_text(value, indent: str = "") -> str:
     item in Python. Here the innermost dicts and lists, those holding only
     scalars, go to the C encoder with the newline and the indent in its item
     separator, which writes the same text. Outer levels recurse with the same
-    2-space indent. Scalars and empty containers go to ``json.dumps``.
+    2-space indent. Scalars and empty containers go to ``json.dumps``. An
+    ndarray is written as its ``tolist()`` would be (see ``_array_json``).
     """
+    if isinstance(value, np.ndarray):
+        return _array_json(value, indent)
     if not (isinstance(value, (dict, list, tuple)) and value):
         return json.dumps(value)
     inner = indent + "  "
@@ -131,7 +172,7 @@ def _json_text(value, indent: str = "") -> str:
     else:
         # keys json converts to strings itself; JSON strings escape their
         # newlines, so every newline here is indentation
-        return json.dumps(value, indent=2).replace("\n", "\n" + indent)
+        return json.dumps(value, indent=2, default=np.ndarray.tolist).replace("\n", "\n" + indent)
     return f"{{\n{inner}{body}\n{indent}}}" if is_dict else f"[\n{inner}{body}\n{indent}]"
 
 
@@ -139,12 +180,13 @@ def _emit(args, payload: dict, csv_rows, table_lines, **header) -> None:
     """Write one command's result to stdout in the format ``args.format`` names.
 
     ``payload`` is the JSON document, written as ``json.dumps(payload,
-    indent=2)`` writes it (see ``_json_text``). ``csv_rows`` (column names
-    first, then one tuple of cell strings per row) and ``table_lines`` are
-    only iterated in their own format, so they may be generators. Table
-    output opens with a ``# <command>  key=value ...`` line built from
-    ``header``, unless ``--quiet`` is given. The lines go out through one
-    ``writelines`` call, so a long table streams instead of being joined.
+    indent=2)`` writes it, each ndarray in it as its ``tolist()`` (see
+    ``_json_text``). ``csv_rows`` (column names first, then one tuple of cell
+    strings per row) and ``table_lines`` are only iterated in their own
+    format, so they may be generators. Table output opens with a
+    ``# <command>  key=value ...`` line built from ``header``, unless
+    ``--quiet`` is given. The lines go out through one ``writelines`` call,
+    so a long table streams instead of being joined.
     """
     if args.format == "json":
         lines = [_json_text(payload)]
@@ -514,10 +556,10 @@ def cmd_simulate(args) -> int:
             "analytic": _json_num(gap[0]), "empirical": _json_num(gap[1]),
         }
     if args.format == "json":
-        # the cells as nested lists only where they are printed; table and csv
-        # rows read them from cells() below
-        payload["joint"].update(analytic=np.round(joint.table, 9).tolist(),
-                                empirical=np.round(freqs, 9).tolist())
+        # the cells only where they are printed, as arrays that _json_text
+        # writes as nested lists; table and csv rows read them from cells() below
+        payload["joint"].update(analytic=np.round(joint.table, 9),
+                                empirical=np.round(freqs, 9))
 
     labels = [[_fmt(v) for v in ax] for ax in joint.axes]
 

@@ -40,9 +40,21 @@ def _complex_entry(value, where: str) -> complex:
     return complex(value[0], value[1])
 
 
+#: Entry and number types a matrix is converted from in one call; anything
+#: else is walked entry by entry, which names the first bad one.
+_PAIR_TYPES = {list, tuple}
+_NUMBER_TYPES = {int, float, bool}
+
+
 def _complex_matrix(rows, dim: int, where: str) -> np.ndarray:
     if not isinstance(rows, list) or len(rows) != dim:
         raise DimensionMismatch(f"{where}: expected {dim} rows, got {len(rows) if isinstance(rows, list) else type(rows).__name__}")
+    entries = [entry for row in rows if type(row) is list and len(row) == dim for entry in row]
+    if (len(entries) == dim * dim and set(map(type, entries)) <= _PAIR_TYPES
+            and set(map(len, entries)) == {2}
+            and {type(x) for entry in entries for x in entry} <= _NUMBER_TYPES):
+        # (dim, dim, 2) floats, read as complex pairs
+        return np.array(rows, dtype=float).view(complex).reshape(dim, dim)
     out = np.empty((dim, dim), dtype=complex)
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:

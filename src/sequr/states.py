@@ -9,10 +9,12 @@ its m x m block in that eigenspace, and moves to the next observable's
 eigenbasis through the overlap of the two isometries. For
 nondegenerate observables the blocks are numbers and the table is the Markov
 chain ``p_A(i) |<a_i|b_j>|^2 |<b_j|c_k>|^2 ...``. The seeded sampler walks the
-same blocks one branch at a time and provides an independent stochastic
-oracle for the table; the operator stacks of the sequential bound and search
-are collapsed on the same isometries. ``luders_map``, ``outcome_probabilities``
-and ``interference_gap`` stay on the projectors, as the definitional oracle.
+same blocks depth first, carrying all the children of a branch in stacked
+products and drawing the leaves of a branch in one call, and provides an
+independent stochastic oracle for the table; the operator stacks of the
+sequential bound and search are collapsed on the same isometries.
+``luders_map``, ``outcome_probabilities`` and ``interference_gap`` stay on the
+projectors, as the definitional oracle.
 """
 
 from __future__ import annotations
@@ -259,11 +261,18 @@ def sample_sequence(rho: np.ndarray, chain, n: int, seed: int) -> np.ndarray:
     are the traces of the diagonal blocks there. Counts are aggregated per
     branch (the split of a branch's samples across the next measurement's
     outcomes is multinomial, exactly as if each tuple were drawn one at a
-    time), so runtime does not scale with ``n``. Branches are visited depth
-    first. Deterministic for a fixed ``seed``; zero-probability branches are
-    never visited. ``rho`` is checked once, as ``check_density`` checks its
-    eigenvalues, so a branch weight that roundoff makes negative counts as
-    zero. The analytic table of ``wigner_joint`` is never read.
+    time), so runtime does not scale with ``n``.
+
+    Branches draw depth first. Once a branch has drawn its split, the blocks
+    and weights of all its children that received samples are carried in
+    stacked products, one per eigenspace size, before any child draws; the
+    children of a last-but-one branch are leaves whose draws are consecutive,
+    so one multinomial call with a row per child draws them all. A child with
+    no samples is neither carried nor drawn, so zero-probability branches are
+    never visited. Deterministic for a fixed ``seed``. ``rho`` is checked
+    once, as ``check_density`` checks its eigenvalues, so a branch weight that
+    roundoff makes negative counts as zero. The analytic table of
+    ``wigner_joint`` is never read.
     """
     if n < 1:
         raise ValueError("sample count must be >= 1")
@@ -275,28 +284,57 @@ def sample_sequence(rho: np.ndarray, chain, n: int, seed: int) -> np.ndarray:
     # finite first: eigvalsh can return finite eigenvalues for a NaN matrix
     if not (np.isfinite(rho).all() and np.linalg.eigvalsh(rho).min() >= -1e-10):
         raise ValueError("state must be finite with no eigenvalue below -1e-10")
-    overlaps = _chain_overlaps(chain)
-    heads = [np.array(obs.edges[:-1]) for obs in chain]  # reduceat indices, converted once
+    # level k carries blocks from the eigenspaces of observable k - 1 (before
+    # the first one, the identity as a single outcome) into eigenbasis k; its
+    # groups stack the overlaps per eigenspace size m, and slot[j] is the
+    # place of outcome j's overlap in its group
+    dim = len(rho)
+    edges = [np.array([0, dim])] + [np.array(obs.edges) for obs in chain]
+    levels = []
+    for k, level_overlaps in enumerate(_chain_overlaps(chain)):
+        sizes = np.diff(edges[k])
+        groups = []
+        for m in sorted(set(sizes.tolist())):
+            members = np.flatnonzero(sizes == m)
+            t = np.stack([level_overlaps[j] for j in members])
+            slot = np.zeros(len(sizes), dtype=np.intp)
+            slot[members] = np.arange(len(members))
+            groups.append((m, t, t.conj(), slot))
+        levels.append((sizes, groups, edges[k + 1][:-1]))
     rng = np.random.default_rng(seed)
     counts = np.zeros(shape, dtype=np.int64)
+    table = counts[None]  # indexed by the initial outcome too
     last = len(chain) - 1
 
-    def descend(block, j, count, depth, idx):
-        t = overlaps[depth][j]
-        bounds = chain[depth].edges
-        carried = t @ block @ t.conj().T
-        probs = np.maximum(np.add.reduceat(carried.diagonal().real, heads[depth]), 0.0)
-        split = rng.multinomial(count, probs / probs.sum())
-        if depth == last:
-            counts[idx] = split
-            return
-        for i, c in enumerate(split):
-            if c == 0:
-                continue
-            lo, hi = bounds[i], bounds[i + 1]
-            descend(carried[lo:hi, lo:hi] / probs[i], i, c, depth + 1, idx + (i,))
+    def visit(carried, weights, split, depth, idx):
+        """Carry and draw the children of a branch that has drawn ``split``.
 
-    descend(rho, 0, n, 0, ())
+        ``carried`` is the branch's block in eigenbasis ``depth`` (-1 is the
+        initial state), ``weights`` its unnormalized outcome weights and
+        ``idx`` its outcomes, a prefix of the table's index.
+        """
+        live = np.flatnonzero(split)
+        sizes, groups, heads = levels[depth + 1]
+        children = np.empty((len(live), dim, dim), dtype=complex)
+        for m, t, t_conj, slot in groups:
+            mask = sizes[live] == m
+            members = live[mask]
+            span = edges[depth + 1][members, None] + np.arange(m)
+            blocks = carried[span[:, :, None], span[:, None, :]] / weights[members, None, None]
+            # per child, bit for bit the unstacked t @ block @ t^dagger
+            where = slot[members]
+            children[mask] = t[where] @ blocks @ t_conj[where].transpose(0, 2, 1)
+        child_weights = np.maximum(
+            np.add.reduceat(children.diagonal(axis1=1, axis2=2).real, heads, axis=1), 0.0)
+        pvals = child_weights / child_weights.sum(axis=1, keepdims=True)
+        if depth + 1 == last:
+            table[idx][live] = rng.multinomial(split[live], pvals)
+            return
+        for row, outcome in enumerate(live):
+            visit(children[row], child_weights[row], rng.multinomial(split[outcome], pvals[row]),
+                  depth + 1, idx + (outcome,))
+
+    visit(rho, np.ones(1), np.array([n], dtype=np.int64), -1, ())
     return counts
 
 

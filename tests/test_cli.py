@@ -44,6 +44,11 @@ GOLDEN_CASES = {
     "sweep": ["sweep", "--theta-min", "0", "--theta-max", "180", "--steps", "7"],
     "verify": ["verify", "--instances", "4", "--dims", "2-3", "--seed", "9"],
     "simulate": ["simulate", "zx.json", "--order", "Z", "X", "--samples", "20000", "--seed", "11"],
+    "simulate-zx-chain4": ["simulate", "zx.json", "--order", "Z", "X", "Z", "X",
+                           "--samples", "20000", "--seed", "11"],
+    # Z2 repeats Z, so every off-diagonal branch has probability zero
+    "simulate-zz-triple": ["simulate", "zz.json", "--order", "Z", "Z2", "Z",
+                           "--samples", "20000", "--seed", "11"],
 }
 
 _TIMING_LINE = re.compile(r'\s*"?timing_s\b')
@@ -413,6 +418,27 @@ class TestJsonText:
     def test_matches_json_dumps(self, value):
         assert _json_text(value) == json.dumps(value, indent=2)
 
+    @pytest.mark.parametrize("value", [
+        np.array([0.5]), np.array([0.1, 0.2, 0.1]), np.arange(24.0).reshape(2, 3, 4),
+        np.linspace(0, 1, 16).reshape(2, 2, 2, 1, 2), np.ones((1, 1, 1)), np.ones((3, 1)),
+        np.array([-0.0, 0.0, 0.0, -0.0]), np.array([[NAN, INF], [-INF, NAN]]),
+        np.array([1e-05, 5e-324, -5e-324, 1e16, 1.7976931348623157e308]),
+        np.array([[0.25] * 5] * 4), np.array([np.nan, -np.nan, np.float64("nan")]),
+        np.arange(12.0).reshape(3, 4)[:, ::2], np.arange(6.0)[::-2],
+        np.zeros((2, 0)), np.zeros(0), np.array(0.5), np.arange(6).reshape(2, 3),
+        np.array([[True, False]]), np.array([0.5, 0.25], dtype=np.float32),
+        {"a": np.array([0.1, 0.1]), "b": [np.array([[1.5, NAN]]), 0.5]},
+        [np.array([-0.0, 1e-05]), {"c": np.array([[[2.0]]])}],
+        {1: np.array([0.5, 0.5]), "k": [np.array([0.25])]},
+    ], ids=lambda value: type(value).__name__)
+    @pytest.mark.parametrize("depth", [0, 1, 3])
+    def test_arrays_match_json_dumps_of_tolist(self, value, depth):
+        # nested ``depth`` lists deep, so the array is written at every indent
+        for _ in range(depth):
+            value = [value]
+        expected = json.dumps(value, indent=2, default=np.ndarray.tolist)
+        assert _json_text(value) == expected
+
     @pytest.mark.parametrize("dim,order,state", [
         (2, "A B", True), (2, "D A", True), (3, "A B C", False), (4, "A D B", True),
         (4, "A B C A", False), (5, "D B", True), (8, "A B C", True), (8, "A D B C", True),
@@ -425,7 +451,9 @@ class TestJsonText:
             payloads.append(payload), emit(args, payload, *rest, **header)))
         assert main(["simulate", path, "--order", *order.split(), "--samples", "5000",
                      "--seed", "7", "--format", "json"]) == 0
-        assert capsys.readouterr().out == json.dumps(payloads[0], indent=2) + "\n"
+        # the joint cells are ndarrays in the payload, written as their tolist()
+        expected = json.dumps(payloads[0], indent=2, default=np.ndarray.tolist)
+        assert capsys.readouterr().out == expected + "\n"
 
 
 def reference_rows(joint, freqs) -> tuple:

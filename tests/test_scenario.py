@@ -100,3 +100,56 @@ def test_load_scenario_from_file(tmp_path):
 def test_load_missing_file():
     with pytest.raises(ScenarioError, match="cannot read"):
         load_scenario("/nonexistent/scenario.json")
+
+
+def _walked_matrix(rows, dim, where):
+    """Entry-by-entry conversion: the reference for ``_complex_matrix``."""
+    if not isinstance(rows, list) or len(rows) != dim:
+        raise DimensionMismatch(f"{where}: expected {dim} rows, got {len(rows) if isinstance(rows, list) else type(rows).__name__}")
+    out = np.empty((dim, dim), dtype=complex)
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != dim:
+            raise DimensionMismatch(f"{where}: row {i} must have {dim} entries")
+        for j, entry in enumerate(row):
+            if (not isinstance(entry, (list, tuple)) or len(entry) != 2
+                    or not all(isinstance(x, (int, float)) for x in entry)):
+                raise ScenarioError(f"{where}[{i}][{j}]: expected a [re, im] number pair, got {entry!r}")
+            out[i, j] = complex(entry[0], entry[1])
+    return out
+
+
+def _outcome(convert, rows, dim):
+    try:
+        return "ok", convert(rows, dim, "m").view(np.int64).tolist()  # bits: NaN equals NaN
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+_RANDOM = np.random.default_rng(0).standard_normal((3, 3, 2)).tolist()
+
+
+@pytest.mark.parametrize("rows, dim", [
+    (_RANDOM, 3),
+    ([[[1, 0], [True, False]], [[False, 1], (2.5, -0.0)]], 2),
+    ([[[2**70 + 1, -(2**64)], [0, float("nan")]], [[float("inf"), 0], [-0.0, 1e-300]]], 2),
+    ([[[10**400, 0], [0, 0]], [[0, 0], [0, 0]]], 2),
+    ([[[1, 0], [0]], [[0], [1, 0]]], 2),
+    ([[[1, 0], ["0", 0]], [[0, 0], [1, 0]]], 2),
+    ([[[1, 0], [0, None]], [[0, 0], [1, 0]]], 2),
+    ([[[1, 0], [[0], 0]], [[0, 0], [1, 0]]], 2),
+    ([[[1, 0], {"re": 0}], [[0, 0], [1, 0]]], 2),
+    ([[[1, 0], [0, 0, 0]], [[0, 0], [1, 0]]], 2),
+    ([[[1, 0], "ab"], [[0, 0], [1, 0]]], 2),
+    ([[[1, 0], [0, 0]], [[0, 0]]], 2),
+    ([[[1, 0], [0, 0]], "row"], 2),
+    ([[[1, 0], ["x", 0]], [[0, 0]]], 2),
+    ([[[10**400, 0], ["x", 0]], [[0, 0], [0, 0]]], 2),
+    ([[[1, 0]], [[0, 0], [1, 0]]], 2),
+    ([[[1, 0], [0, 0]]], 2),
+    ({"a": 1}, 2),
+    ([], 0),
+], ids=lambda value: str(value)[:24])
+def test_matrix_conversion_matches_entry_walk(rows, dim):
+    from sequr.scenario import _complex_matrix
+
+    assert _outcome(_complex_matrix, rows, dim) == _outcome(_walked_matrix, rows, dim)

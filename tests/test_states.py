@@ -407,3 +407,88 @@ class TestSamplerKernel:
         monkeypatch.setattr(states, "wigner_joint", refuse)
         for rho, chain in self._cases():
             assert sample_sequence(rho, chain, n=1000, seed=2).sum() == 1000
+
+
+def _per_branch_sampler(rho, chain, n, seed):
+    """The sampler as one recursive call per branch: the reference for its counts.
+
+    Each branch carries its own collapsed block into the next eigenbasis,
+    draws its split, and descends into its children one at a time.
+    """
+    chain = list(chain)
+    overlaps = states._chain_overlaps(chain)
+    heads = [np.array(obs.edges[:-1]) for obs in chain]
+    rng = np.random.default_rng(seed)
+    counts = np.zeros(tuple(obs.n_outcomes for obs in chain), dtype=np.int64)
+    last = len(chain) - 1
+
+    def descend(block, j, count, depth, idx):
+        t = overlaps[depth][j]
+        bounds = chain[depth].edges
+        carried = t @ block @ t.conj().T
+        probs = np.maximum(np.add.reduceat(carried.diagonal().real, heads[depth]), 0.0)
+        split = rng.multinomial(count, probs / probs.sum())
+        if depth == last:
+            counts[idx] = split
+            return
+        for i, c in enumerate(split):
+            if c == 0:
+                continue
+            lo, hi = bounds[i], bounds[i + 1]
+            descend(carried[lo:hi, lo:hi] / probs[i], i, c, depth + 1, idx + (i,))
+
+    descend(np.asarray(rho, dtype=complex), 0, n, 0, ())
+    return counts
+
+
+def _diagonal_observable(dim, degenerate):
+    """A diagonal observable, so its eigenbasis is exact and repeats give exact zeros."""
+    values = np.arange(dim) // 2 if degenerate else np.arange(dim)
+    return spectral_resolution(np.diag(values).astype(complex))
+
+
+def _oracle_cases():
+    """(label, state, chain) of every shape the sampler's levels take.
+
+    Chains of 1 to 5 observables at dims 2 to 8, up to 4,096 cells each, with
+    no degenerate observable or one at the first, a middle or the last
+    position; and repeated diagonal chains, whose off-diagonal branches have
+    probability exactly zero.
+    """
+    case = 0
+    for dim in (2, 3, 4, 6, 8):
+        for length in range(1, 6):
+            if dim**length > 4096:
+                continue
+            positions = sorted({0, length // 2, length - 1})
+            for degenerate in (None, *positions):
+                for mixed in (False, True):
+                    case += 1
+                    rho = _mixed_state(dim, case) if mixed else random_state(dim, seed=case)
+                    chain = [_degenerate_observable(dim, 100 * case + k) if k == degenerate
+                             else random_observable(dim, seed=100 * case + k)
+                             for k in range(length)]
+                    yield f"d{dim}-k{length}-deg{degenerate}-{'mixed' if mixed else 'pure'}", rho, chain
+    for dim in (2, 3, 5):
+        z, z2 = _diagonal_observable(dim, False), _diagonal_observable(dim, True)
+        rho = _mixed_state(dim, dim)
+        yield f"d{dim}-repeated", rho, [z, z, z2, z]
+
+
+class TestSamplerOracle:
+    @pytest.mark.parametrize("n", [1, 7, 10**6])
+    def test_counts_equal_per_branch_descent(self, n):
+        cases = 0
+        for label, rho, chain in _oracle_cases():
+            for seed in range(5):
+                got = sample_sequence(rho, chain, n=n, seed=seed)
+                assert np.array_equal(got, _per_branch_sampler(rho, chain, n, seed)), (label, seed)
+                cases += 1
+        assert cases == 5 * 157
+
+    def test_repeated_chains_have_zero_branches(self):
+        repeated = [(rho, chain) for label, rho, chain in _oracle_cases() if "repeated" in label]
+        for rho, chain in repeated:
+            counts = sample_sequence(rho, chain, n=10**6, seed=0)
+            assert counts.sum() == 10**6
+            assert np.count_nonzero(counts) < counts.size // 2
