@@ -6,8 +6,6 @@ from .bounds import (
     is_complementary,
     krishna_parthasarathy_bound,
     lambda_s_chain,
-    lambda_s_three,
-    lambda_s_two,
     maassen_uffink_bound,
     partovi_bound,
     squared_overlaps,
@@ -28,7 +26,6 @@ from .optimize import (
     OptimizerResult,
     lambda_d_numeric,
     lambda_s_chain_numeric,
-    lambda_s_numeric,
     minimize_in_subspace,
     minimize_over_pure_states,
 )

@@ -130,10 +130,10 @@ def lambda_s_chain(chain, config: OptimizerConfig | None = None) -> ChainBound:
 
 
 def lambda_s_two(a: Observable, b: Observable, config: OptimizerConfig | None = None) -> float:
-    """``lambda_s_chain([a, b], config).common_state``; kept because the benchmark binds it."""
+    """``lambda_s_chain([a, b], config).common_state``; unexported, kept for perfbench's worker."""
     return lambda_s_chain([a, b], config).common_state
 
 
 def lambda_s_three(a: Observable, b: Observable, c: Observable) -> ChainBound:
-    """``lambda_s_chain([a, b, c])``; kept because the benchmark binds it."""
+    """``lambda_s_chain([a, b, c])``; unexported, kept for perfbench's worker."""
     return lambda_s_chain([a, b, c])

@@ -22,11 +22,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from .bounds import (deutsch_bound, krishna_parthasarathy_bound, lambda_s_chain, lambda_s_two,
+from .bounds import (deutsch_bound, krishna_parthasarathy_bound, lambda_s_chain,
                      maassen_uffink_bound, partovi_bound)
 from .entropy import _entropy, shannon_entropy
 from .errors import DimensionMismatch, OptimizerFailure, ScenarioError
-from .optimize import OptimizerConfig, lambda_d_numeric, lambda_s_chain_numeric, lambda_s_numeric
+from .optimize import OptimizerConfig, lambda_d_numeric, lambda_s_chain_numeric
 from .qubit import curve_point, table1
 from .scenario import load_scenario
 from .states import outcome_probabilities, sample_sequence, wigner_joint
@@ -275,6 +275,8 @@ def cmd_bounds(args) -> int:
     config = OptimizerConfig(starts=args.starts, seed=args.seed)
 
     started = time.perf_counter()
+    bound = lambda_s_chain(observables, config)
+    numeric = lambda_s_chain_numeric(observables, config).value
     if len(observables) == 2:
         a, b = observables
         nondegenerate = a.is_nondegenerate and b.is_nondegenerate
@@ -283,26 +285,22 @@ def cmd_bounds(args) -> int:
             "partovi": partovi_bound(a, b),
             "maassen_uffink": maassen_uffink_bound(a, b) if nondegenerate else None,
             "krishna_parthasarathy": krishna_parthasarathy_bound(a, b),
-            "lambda_s": lambda_s_two(a, b, config),
+            "lambda_s": bound.common_state,
             "lambda_d_numeric": lambda_d_numeric(a, b, config).value,
-            "lambda_s_numeric": lambda_s_numeric(a, b, config).value,
+            "lambda_s_numeric": numeric,
         }
-        # (value, its floor, tolerance); for a degenerate first observable
-        # lambda_s is itself a subspace search, so the numeric search is held
-        # to the closed form below it
-        floors = [("lambda_s", "krishna_parthasarathy", 1e-9),
-                  ("krishna_parthasarathy", "partovi", 1e-9),
-                  ("lambda_d_numeric", "krishna_parthasarathy", 1e-6),
-                  ("lambda_s_numeric", "lambda_s", 1e-4) if a.is_nondegenerate
-                  else ("lambda_s_numeric", "krishna_parthasarathy", 1e-6)]
-        if nondegenerate:
-            floors += [("lambda_s", "maassen_uffink", 1e-9), ("maassen_uffink", "deutsch", 1e-9)]
-        checks = {f"{value} >= {floor}": values[value] >= values[floor] - tol
-                  for value, floor, tol in floors}
         search = ("lambda_s_numeric", "lambda_s", 1e-4)
+        # for a degenerate first observable lambda_s is itself a subspace
+        # search, so the numeric search is held to the closed form below it
+        triples = [("lambda_s", "krishna_parthasarathy", 1e-9),
+                   ("krishna_parthasarathy", "partovi", 1e-9),
+                   ("lambda_d_numeric", "krishna_parthasarathy", 1e-6),
+                   search if a.is_nondegenerate
+                   else ("lambda_s_numeric", "krishna_parthasarathy", 1e-6)]
+        if nondegenerate:
+            triples += [("lambda_s", "maassen_uffink", 1e-9), ("maassen_uffink", "deutsch", 1e-9)]
+        floors = {f"{value} >= {floor}": (value, floor, tol) for value, floor, tol in triples}
     else:
-        bound = lambda_s_chain(observables)
-        numeric = lambda_s_chain_numeric(observables, config).value
         name = f"lambda_s{len(observables)}"
         values = {
             f"{name}_stagewise": bound.stagewise,
@@ -310,11 +308,12 @@ def cmd_bounds(args) -> int:
             f"{_ORDINALS[len(observables) - 1]}_stage_bound": bound.second_stage,
             f"{name}_numeric": numeric,
         }
-        checks = {
-            "common_state >= stagewise": bound.common_state >= bound.stagewise - 1e-9,
-            f"{name}_numeric >= common_state": numeric >= bound.common_state - 1e-3,
-        }
         search = (f"{name}_numeric", f"{name}_common_state", 1e-3)
+        floors = {"common_state >= stagewise": (f"{name}_common_state", f"{name}_stagewise", 1e-9),
+                  f"{name}_numeric >= common_state": search}
+    # floors: check label -> (value, its floor, tolerance), both named as in values
+    checks = {label: values[value] >= values[floor] - tol
+              for label, (value, floor, tol) in floors.items()}
     # a multistart search bounds its infimum only from above: stopping above
     # the closed form is a miss of the search, reported but not a violation
     numeric_name, closed_name, tol = search
@@ -593,6 +592,8 @@ def cmd_simulate(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ScenarioError("--seed must be >= 0")
         return args.func(args)
     except (ValueError, OptimizerFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)

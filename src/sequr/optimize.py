@@ -215,12 +215,6 @@ def lambda_d_numeric(a: Observable, b: Observable,
     return _lambda_result([a.projectors, b.projectors], a.dim, config)
 
 
-def lambda_s_numeric(a: Observable, b: Observable,
-                     config: OptimizerConfig | None = None) -> OptimizerResult:
-    """``lambda_s_chain_numeric([a, b], config)``; kept because the benchmark binds it."""
-    return lambda_s_chain_numeric([a, b], config)
-
-
 def lambda_s_chain_numeric(chain, config: OptimizerConfig | None = None) -> OptimizerResult:
     """Optimal sequential bound for a chain of observables, found numerically."""
     return _lambda_result(_sequential_stacks(chain), chain[0].dim, config or OptimizerConfig())

@@ -285,7 +285,7 @@ def check_bound_ordering(dim, a, b):
     """Sequential optimum >= Krishna-Parthasarathy/Maassen-Uffink >= Partovi/Deutsch."""
     rows = []
     for oa, ob in zip(spectral_resolutions(a), spectral_resolutions(b)):
-        ls = bd.lambda_s_two(oa, ob)
+        ls = bd.lambda_s_chain([oa, ob]).common_state
         kp = bd.krishna_parthasarathy_bound(oa, ob)
         mu = bd.maassen_uffink_bound(oa, ob)
         rows.append((ls - kp, ls - mu, kp - bd.partovi_bound(oa, ob),
@@ -317,7 +317,7 @@ def check_projector_norm_identity(dim, a, b):
 @_property("sequential-entropy-floor", "rho", "A", "B")
 def check_sequential_entropy_floor(dim, rho, a, b):
     """The second measurement's entropy is at least the sequential optimum, any state."""
-    slack = [ent.entropies_sequential(r, oa, ob).s_b - bd.lambda_s_two(oa, ob)
+    slack = [ent.entropies_sequential(r, oa, ob).s_b - bd.lambda_s_chain([oa, ob]).common_state
              for r, oa, ob in zip(rho, spectral_resolutions(a), spectral_resolutions(b))]
     return {"rho": rho, "A": a, "B": b}, [(1e-9 + np.array(slack), "")]
 
@@ -325,7 +325,8 @@ def check_sequential_entropy_floor(dim, rho, a, b):
 @_property("second-stage-dominance", "A", "B", "C")
 def check_second_stage_dominance(dim, a, b, c):
     """Third-stage entropy bound >= second-stage bound (doubly stochastic mixing)."""
-    slack = [bd.lambda_s_three(oa, ob, oc).second_stage - bd.lambda_s_two(oa, ob)
+    slack = [bd.lambda_s_chain([oa, ob, oc]).second_stage
+             - bd.lambda_s_chain([oa, ob]).common_state
              for oa, ob, oc in zip(*map(spectral_resolutions, (a, b, c)))]
     return {"A": a, "B": b, "C": c}, [(1e-9 + np.array(slack), "")]
 

@@ -14,6 +14,7 @@ import pytest
 from sequr import bounds, cli, qubit
 from sequr.cli import MAX_STARTS, _json_text, main
 from sequr.linalg import spectral_resolution
+from sequr.optimize import OptimizerResult
 from sequr.scenario import load_scenario
 from sequr.states import random_hermitian, sample_sequence, wigner_joint
 
@@ -30,16 +31,34 @@ ZX_DOC = {
 ZZ_DOC = dict(ZX_DOC, observables={"Z": ZX_DOC["observables"]["Z"],
                                    "Z2": ZX_DOC["observables"]["Z"]})
 
+
+def miss6_doc() -> dict:
+    """Dim-6 scenario of two random observables A and B; one start misses lambda_s."""
+    rng = np.random.default_rng(0)
+    return {"dim": 6, "observables": {
+        name: [[[z.real, z.imag] for z in row] for row in random_hermitian(6, rng)]
+        for name in "AB"}}
+
+
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 #: Golden CLI runs, all exiting 0. Scenario paths are relative to a
-#: directory holding ``zx.json`` and ``zz.json``.
+#: directory holding ``zx.json``, ``zz.json``, ``deg.json`` and ``miss6.json``.
 GOLDEN_CASES = {
     "bounds-zx-pair": ["bounds", "zx.json", "--order", "Z", "X", "--starts", "8"],
     "bounds-zx-triple": ["bounds", "zx.json", "--order", "Z", "X", "Z", "--starts", "8"],
     "bounds-zz-pair": ["bounds", "zz.json", "--order", "Z", "Z2", "--starts", "8"],
     "bounds-zz-triple": ["bounds", "zz.json", "--order", "Z", "Z2", "Z", "--starts", "8"],
     "bounds-zx-chain4": ["bounds", "zx.json", "--order", "Z", "X", "Z", "X", "--starts", "8"],
+    # P is degenerate: first (n/a rows, the krishna_parthasarathy floor of the
+    # search), last and in the middle
+    "bounds-deg-first": ["bounds", "deg.json", "--order", "P", "Q", "--starts", "8"],
+    "bounds-deg-last": ["bounds", "deg.json", "--order", "Q", "P", "--starts", "8"],
+    "bounds-deg-middle": ["bounds", "deg.json", "--order", "Q", "P", "Q", "--starts", "8"],
+    # one start stops above lambda_s: a search miss, in nats and in bits
+    "bounds-miss6-pair": ["bounds", "miss6.json", "--order", "A", "B", "--starts", "1"],
+    "bounds-miss6-pair-bits": ["bounds", "miss6.json", "--order", "A", "B", "--starts", "1",
+                               "--log-base", "2"],
     "table1": ["table1"],
     "sweep": ["sweep", "--theta-min", "0", "--theta-max", "180", "--steps", "7"],
     "verify": ["verify", "--instances", "4", "--dims", "2-3", "--seed", "9"],
@@ -58,6 +77,8 @@ def run_golden_case(name: str, fmt: str, workdir, capsys) -> tuple:
     """(exit code, stdout without its timing line) of one golden run in ``workdir``."""
     (workdir / "zx.json").write_text(json.dumps(ZX_DOC))
     (workdir / "zz.json").write_text(json.dumps(ZZ_DOC))
+    (workdir / "deg.json").write_text(json.dumps(DEGENERATE_DOC))
+    (workdir / "miss6.json").write_text(json.dumps(miss6_doc()))
     code = main(GOLDEN_CASES[name] + ["--format", fmt])
     out = capsys.readouterr().out
     return code, "".join(line for line in out.splitlines(keepends=True)
@@ -195,12 +216,8 @@ class TestBounds:
 
     def test_search_miss_is_reported_not_violated(self, tmp_path, capsys):
         # with one start, the dim-6 search stops at 1.66023, above lambda_s = 1.46958
-        rng = np.random.default_rng(0)
-        doc = {"dim": 6, "observables": {
-            name: [[[z.real, z.imag] for z in row] for row in random_hermitian(6, rng)]
-            for name in "AB"}}
         path = tmp_path / "miss.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(miss6_doc()))
         argv = ["bounds", str(path), "--order", "A", "B", "--starts", "1"]
         assert main(argv) == 0
         out = capsys.readouterr().out
@@ -213,39 +230,63 @@ class TestBounds:
         assert payload["search_misses"] == {
             "lambda_s_numeric": {"above": "lambda_s", "gap": 0.190658}}
 
-    @pytest.mark.parametrize("scenario, order, numeric, floor, check", [
-        ("zx", ["Z", "X"], "lambda_s_numeric", "lambda_s_two",
-         "lambda_s_numeric >= lambda_s"),
-        ("zx", ["Z", "X", "Z"], "lambda_s_chain_numeric", None,
-         "lambda_s3_numeric >= common_state"),
-        ("deg", ["P", "Q"], "lambda_s_numeric", "krishna_parthasarathy_bound",
-         "lambda_s_numeric >= krishna_parthasarathy"),
-    ])
-    def test_numeric_value_below_closed_form_is_violation(
-            self, scenario, order, numeric, floor, check, tmp_path, monkeypatch, capsys):
-        from sequr import cli
-        from sequr.optimize import OptimizerResult
-
+    @staticmethod
+    def patch_search(scenario, order, offset, floor, tmp_path, monkeypatch) -> str:
+        """Write ``scenario``; make ``bounds``' sequential search return ``offset`` plus
+        ``floor`` (a ``bounds`` function of ``order``) or, for ``None``, the closed form
+        ``common_state``. Returns the scenario path."""
         doc = {"zx": ZX_DOC, "deg": DEGENERATE_DOC}[scenario]
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(doc))
         observables = [spectral_resolution(np.array(
             [[complex(*z) for z in row] for row in doc["observables"][name]]))
             for name in order]
-        closed = (bounds.lambda_s_chain(observables).common_state if floor is None
-                  else getattr(bounds, floor)(*observables))
+        value = offset + (bounds.lambda_s_chain(observables).common_state if floor is None
+                          else getattr(bounds, floor)(*observables))
 
-        def below(*args, **kwargs):
-            value = closed - 1e-2
+        def search(*args, **kwargs):
             return OptimizerResult(value=value, minimizer=np.eye(doc["dim"])[0],
                                    starts_converged=1, per_start_values=(value,),
                                    evaluations=1)
 
-        monkeypatch.setattr(cli, numeric, below)
-        assert main(["bounds", str(path), "--order", *order, "--starts", "2"]) == 1
+        monkeypatch.setattr(cli, "lambda_s_chain_numeric", search)
+        return str(path)
+
+    @pytest.mark.parametrize("scenario, order, floor, check", [
+        ("zx", ["Z", "X"], None, "lambda_s_numeric >= lambda_s"),
+        ("zx", ["Z", "X", "Z"], None, "lambda_s3_numeric >= common_state"),
+        ("deg", ["P", "Q"], "krishna_parthasarathy_bound",
+         "lambda_s_numeric >= krishna_parthasarathy"),
+    ])
+    def test_numeric_value_below_closed_form_is_violation(
+            self, scenario, order, floor, check, tmp_path, monkeypatch, capsys):
+        path = self.patch_search(scenario, order, -1e-2, floor, tmp_path, monkeypatch)
+        assert main(["bounds", path, "--order", *order, "--starts", "2"]) == 1
         out = capsys.readouterr().out
         assert f"check: {check}: VIOLATED" in out
         assert "search miss" not in out
+
+    @pytest.mark.parametrize("order, check, numeric, closed", [
+        # P is degenerate: the check holds the search to krishna_parthasarathy,
+        # the miss is measured from the subspace-searched lambda_s
+        (["P", "Q"], "lambda_s_numeric >= krishna_parthasarathy", "lambda_s_numeric",
+         "lambda_s"),
+        (["Q", "P", "Q"], "lambda_s3_numeric >= common_state", "lambda_s3_numeric",
+         "lambda_s3_common_state"),
+    ])
+    def test_numeric_value_above_closed_form_is_a_miss(
+            self, order, check, numeric, closed, tmp_path, monkeypatch, capsys):
+        path = self.patch_search("deg", order, 1e-2, None, tmp_path, monkeypatch)
+        argv = ["bounds", path, "--order", *order, "--starts", "2"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert f"check: {check}: ok" in out
+        assert f"search miss: {numeric} is 0.01 above {closed}" in out
+        assert "VIOLATED" not in out
+        assert main(argv + ["--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert all(payload["checks"].values())
+        assert payload["search_misses"] == {numeric: {"above": closed, "gap": 0.01}}
 
 
 class TestTable1:
@@ -561,6 +602,21 @@ class TestLogBase:
                 assert bit is None
             else:
                 assert bit == pytest.approx(nat / math.log(2), rel=1e-5, abs=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "/no/such/file.json", "--order", "Z", "X"],
+    ["simulate", "/no/such/file.json", "--order", "Z", "X"],
+    ["verify"],
+    ["table1"],
+    ["sweep"],
+])
+def test_negative_seed_refused_before_any_work(argv, capsys):
+    # bounds and simulate are refused before the missing file is read
+    assert main(argv + ["--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --seed must be >= 0\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("argv", [

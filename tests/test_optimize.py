@@ -13,7 +13,6 @@ from sequr.optimize import (
     OptimizerResult,
     lambda_d_numeric,
     lambda_s_chain_numeric,
-    lambda_s_numeric,
     minimize_in_subspace,
     minimize_over_pure_states,
 )
@@ -213,16 +212,16 @@ class TestLambdaDNumeric:
 
 class TestLambdaSNumeric:
     def test_complementary_pair(self, sigma_z, sigma_x):
-        result = lambda_s_numeric(sigma_z, sigma_x, OptimizerConfig(starts=16, seed=2))
+        result = lambda_s_chain_numeric([sigma_z, sigma_x], OptimizerConfig(starts=16, seed=2))
         assert result.value == pytest.approx(math.log(2), abs=1e-4)
 
     def test_50_degrees(self, sigma_z):
-        result = lambda_s_numeric(sigma_z, tilted_spin(50),
-                                  OptimizerConfig(starts=16, seed=2))
+        result = lambda_s_chain_numeric([sigma_z, tilted_spin(50)],
+                                        OptimizerConfig(starts=16, seed=2))
         assert result.value == pytest.approx(0.469, abs=1e-3)
 
     def test_equal_observables(self, sigma_x):
-        result = lambda_s_numeric(sigma_x, sigma_x, OptimizerConfig(starts=16, seed=2))
+        result = lambda_s_chain_numeric([sigma_x, sigma_x], OptimizerConfig(starts=16, seed=2))
         assert result.value == pytest.approx(0.0, abs=1e-6)
 
     def test_agrees_with_closed_form(self):
@@ -230,7 +229,7 @@ class TestLambdaSNumeric:
             dim = 2 + i % 2
             a = random_observable(dim, seed=2400 + i)
             b = random_observable(dim, seed=2500 + i)
-            result = lambda_s_numeric(a, b, OptimizerConfig(starts=16, seed=i))
+            result = lambda_s_chain_numeric([a, b], OptimizerConfig(starts=16, seed=i))
             assert abs(result.value - lambda_s_two(a, b)) <= 1e-4
 
 
@@ -328,7 +327,7 @@ class TestEntropyGradient:
         if case == "distinct-pair":
             lambda_d_numeric(a, b, CFG)
         elif case == "sequential-pair":
-            lambda_s_numeric(a, b, CFG)
+            lambda_s_chain_numeric([a, b], CFG)
         elif case == "triple":
             lambda_s_chain_numeric([a, b, c], CFG)
         else:
@@ -360,7 +359,11 @@ class TestEntropyGradient:
 
 
 class TestSingleStart:
-    @pytest.mark.parametrize("numeric", [lambda_d_numeric, lambda_s_numeric])
+    @pytest.mark.parametrize("numeric", [
+        lambda_d_numeric,
+        pytest.param(lambda a, b, config: lambda_s_chain_numeric([a, b], config),
+                     id="lambda_s_numeric"),
+    ])
     @pytest.mark.parametrize("second", ["z", "x"])
     def test_never_raises(self, numeric, second, sigma_z, sigma_x):
         # the optima sit where outcome probabilities vanish, so a tight
@@ -424,7 +427,7 @@ def test_dim8_basin_coverage():
     for i in range(40):
         a = random_observable(8, 90000 + i)
         b = random_observable(8, 91000 + i)
-        result = lambda_s_numeric(a, b, OptimizerConfig(starts=16, seed=5600 + i))
+        result = lambda_s_chain_numeric([a, b], OptimizerConfig(starts=16, seed=5600 + i))
         if result.value - lambda_s_two(a, b) > 1e-4:
             misses.append(i)
     assert len(misses) <= 6, misses

@@ -93,7 +93,7 @@ def test_tracer_times_every_verify_property():
 
 def test_tracer_counts_optimizer_work(tmp_path):
     # dim-4 pair whose first observable has two doubly degenerate eigenvalues,
-    # so lambda_s_two searches both eigenspaces
+    # so lambda_s_chain searches both eigenspaces
     rng = np.random.default_rng(4)
     q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     a = q @ np.diag([0.0, 0.0, 1.0, 1.0]) @ q.conj().T
