@@ -12,7 +12,8 @@ mismatch, 2 bad input, 3 dimension mismatch, 4 optimizer failure.
 from __future__ import annotations
 
 import argparse
-import functools
+import collections
+import io
 import itertools
 import json
 import math
@@ -93,97 +94,66 @@ def _parse_log_base(text: str) -> float:
     return base
 
 
-#: Types ``json`` writes as one token; subclasses (``np.float64``) are not among them.
-_JSON_SCALARS = {str, int, float, bool, type(None)}
-
-
-@functools.lru_cache(maxsize=16)
-def _flat_json(separator: str):
-    """``json``'s encoder with ``separator`` between items, so with no indent, in C.
-
-    ``separator`` holds the indent of one nesting depth, so a payload needs
-    one encoder per depth.
-    """
-    return json.JSONEncoder(separators=(separator, ": ")).encode
-
-
 def _array_json(array: np.ndarray, indent: str) -> str:
-    """``json.dumps(array.tolist(), indent=2)``, byte for byte, nested at ``indent``.
+    """``json.dumps(array.tolist(), indent=2)`` of a float64 array with cells, at ``indent``.
 
-    A float array is written with each distinct value formatted once: cells
-    are deduplicated on their bit pattern, so ``-0.0``, ``0.0`` and NaN keep
-    their own texts, and the distinct values go through one ``json.dumps`` of
-    their list, which writes json's own float repr (``NaN``, ``Infinity``).
-    Each cell's text is gathered with the text that follows it (a separator,
-    and the brackets of the rows that end and begin there), and all of them
-    are joined at once. Other arrays, and arrays with no cells, go through
-    ``tolist``.
+    Cells are deduplicated on their bit pattern, so ``-0.0`` and NaN keep
+    their own texts, and the distinct values are formatted by one
+    ``json.dumps``. The texts are joined axis by axis, the last axis first,
+    each row of an axis becoming one item of the axis above.
     """
-    if array.dtype != np.float64 or array.size == 0 or array.ndim == 0:
-        return _json_text(array.tolist(), indent)
     distinct, where = np.unique(array.reshape(-1).view(np.int64), return_inverse=True)
     texts = np.array(json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", "),
                      dtype=object)
-    depth = array.ndim
-    pads = [indent + "  " * level for level in range(depth + 1)]
-    # after[r] follows a cell where the last r axes end: r closing brackets,
-    # the comma, and r opening ones
-    after = np.array([
-        "".join(f"\n{pads[depth - 1 - k]}]" for k in range(r)) + f",\n{pads[depth - r]}"
-        + "".join(f"[\n{pads[depth - r + 1 + k]}" for k in range(r))
-        for r in range(depth)], dtype=object)
-    ends = np.zeros(array.shape, dtype=np.intp)
-    for r in range(1, depth):
-        ends[(Ellipsis,) + (-1,) * r] += 1
-    ends = ends.reshape(-1)
-    tokens = (texts + after[0])[where]
-    wraps = np.flatnonzero(ends)
-    tokens[wraps] = texts[where[wraps]] + after[ends[wraps]]
-    tokens[-1] = texts[where[-1]]
-    return ("".join(f"[\n{pads[level + 1]}" for level in range(depth))
-            + "".join(tokens.tolist())
-            + "".join(f"\n{pads[depth - 1 - level]}]" for level in range(depth)))
+    items = texts[where].tolist()
+    for axis in range(array.ndim - 1, -1, -1):
+        inner, length = indent + "  " * (axis + 1), array.shape[axis]
+        separator, close = ",\n" + inner, f"\n{inner[:-2]}]"
+        items = [f"[\n{inner}{separator.join(items[start:start + length])}{close}"
+                 for start in range(0, len(items), length)]
+    return items[0]
 
 
-def _json_text(value, indent: str = "") -> str:
-    """``json.dumps(value, indent=2)``, byte for byte, for a value nested at ``indent``.
+def _json_text(value) -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, with each ndarray as its ``tolist()``.
 
-    ``json.dumps`` never uses its C encoder when it indents, so it writes every
-    item in Python. Here the innermost dicts and lists, those holding only
-    scalars, go to the C encoder with the newline and the indent in its item
-    separator, which writes the same text. Outer levels recurse with the same
-    2-space indent. Scalars and empty containers go to ``json.dumps``. An
-    ndarray is written as its ``tolist()`` would be (see ``_array_json``).
+    One ``json.JSONEncoder.iterencode`` pass writes the document into a
+    ``StringIO``, in pure Python as ``json.dumps`` does when it indents. The
+    ``default`` hook returns ``tolist()`` of an ndarray that is not float64,
+    has no cells or is 0-d, and raises json's ``TypeError`` for anything else.
+    A float array with cells is encoded as ``None``, and that ``null`` chunk is
+    replaced by ``_array_json`` at the indent after the raw newline in the
+    last of the three chunks before it that holds one (a list item's line
+    opens one chunk back, a dict value's three), as no encoded string holds one.
     """
-    if isinstance(value, np.ndarray):
-        return _array_json(value, indent)
-    if not (isinstance(value, (dict, list, tuple)) and value):
-        return json.dumps(value)
-    inner = indent + "  "
-    separator = ",\n" + inner
-    is_dict = isinstance(value, dict)
-    if set(map(type, value.values() if is_dict else value)) <= _JSON_SCALARS:
-        body = _flat_json(separator)(value)[1:-1]
-    elif not is_dict:
-        body = separator.join(_json_text(item, inner) for item in value)
-    elif all(type(key) is str for key in value):
-        body = separator.join(f"{json.dumps(key)}: {_json_text(item, inner)}"
-                              for key, item in value.items())
-    else:
-        # keys json converts to strings itself; JSON strings escape their
-        # newlines, so every newline here is indentation
-        return json.dumps(value, indent=2, default=np.ndarray.tolist).replace("\n", "\n" + indent)
-    return f"{{\n{inner}{body}\n{indent}}}" if is_dict else f"[\n{inner}{body}\n{indent}]"
+    arrays = []
+
+    def default(obj):
+        if not isinstance(obj, np.ndarray):
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        if obj.dtype != np.float64 or obj.size == 0 or obj.ndim == 0:
+            return obj.tolist()
+        arrays.append(obj)
+        return None
+
+    text, recent = io.StringIO(), collections.deque(maxlen=3)
+    for chunk in json.JSONEncoder(indent=2, default=default).iterencode(value):
+        if arrays:
+            line = next((item for item in reversed(recent) if "\n" in item), "")
+            chunk = _array_json(arrays.pop(), line[line.rfind("\n") + 1:])
+        recent.append(chunk)
+        text.write(chunk)
+    return text.getvalue()
 
 
 def _emit(args, payload: dict, csv_rows, table_lines, **header) -> None:
     """Write one command's result to stdout in the format ``args.format`` names.
 
-    ``payload`` is the JSON document, written as ``json.dumps(payload,
-    indent=2)`` writes it, each ndarray in it as its ``tolist()`` (see
-    ``_json_text``). ``csv_rows`` (column names first, then one tuple of cell
-    strings per row) and ``table_lines`` are only iterated in their own
-    format, so they may be generators. Table output opens with a
+    ``payload`` is the JSON document, written in one encoder pass as
+    ``json.dumps(payload, indent=2)`` writes it, each ndarray in it as its
+    ``tolist()`` (see ``_json_text``). ``csv_rows`` (column names first, then
+    one tuple of cell strings per row) and ``table_lines`` are only iterated
+    in their own format, so they may be generators. Table output opens with a
     ``# <command>  key=value ...`` line built from ``header``, unless
     ``--quiet`` is given. The lines go out through one ``writelines`` call,
     so a long table streams instead of being joined.

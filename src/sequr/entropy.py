@@ -75,7 +75,7 @@ def shannon_entropy(weights) -> float:
     if p.max(initial=0.0) > 1.0 + TOTAL_TOL:
         raise ValueError("weights must lie in [0, 1]")
     if abs(p.sum() - 1.0) > TOTAL_TOL:
-        raise ValueError(f"weights sum to {p.sum()!r}, not 1")
+        raise ValueError(f"weights sum to {float(p.sum())}, not 1")
     return float(_entropy(p))
 
 

@@ -40,7 +40,7 @@ def spin_observable(n) -> Observable:
     if n.shape != (3,):
         raise ValueError("direction must be a 3-vector")
     if abs(np.linalg.norm(n) - 1.0) > 1e-9:
-        raise ValueError(f"direction must be a unit vector, |n| = {np.linalg.norm(n)!r}")
+        raise ValueError(f"direction must be a unit vector, |n| = {float(np.linalg.norm(n))}")
     return spectral_resolution(n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z)
 
 

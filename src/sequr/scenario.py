@@ -15,7 +15,10 @@ A scenario is a single self-describing JSON object::
 Every complex number is a two-element ``[re, im]`` array. ``state`` is
 optional and is either an amplitude vector (a list of pairs) or a density
 matrix (a list of rows of pairs); when omitted, consumers fall back to the
-maximally mixed state. Matrices must be Hermitian within 1e-8.
+maximally mixed state. Matrices must be Hermitian within 1e-8. A density
+matrix is accepted with its trace within 1e-8 of 1 and no eigenvalue below
+-1e-8, and is then made exact, as a vector is normalized: its Hermitian part
+is rebuilt from its eigenvalues clipped at 0 and divided by their sum.
 """
 
 from __future__ import annotations
@@ -135,13 +138,18 @@ def _parse_state(raw, dim: int) -> np.ndarray:
         amps = np.array([complex(re, im) for re, im in raw])
         norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > 1e-8:
-            raise ScenarioError(f"state vector norm {norm!r} != 1")
+            raise ScenarioError(f"state vector norm {float(norm)} != 1")
         return pure_density(amps)
     matrix = _complex_matrix(raw, dim, "state")
     try:
-        return check_density(matrix, trace_tol=1e-8, eig_tol=1e-8)
+        matrix = check_density(matrix, trace_tol=1e-8, eig_tol=1e-8)
     except ValueError as exc:
         raise ScenarioError(f"state: {exc}") from exc
+    # made exact, as pure_density normalizes a vector: the joint table and the
+    # sampler hold the state to 1e-9 and 1e-10, tighter than the 1e-8 accepted
+    weights, basis = np.linalg.eigh((matrix + matrix.conj().T) / 2)
+    weights = np.clip(weights, 0.0, None)
+    return (basis * (weights / weights.sum())) @ basis.conj().T
 
 
 def load_scenario(path) -> Scenario:

@@ -61,8 +61,9 @@ def check_density(rho: np.ndarray, trace_tol: float = 1e-10, eig_tol: float = 1e
     m = as_complex_matrix(rho)
     if not _hermitian(m):
         raise ValueError("density operator is not Hermitian")
-    if abs(np.trace(m).real - 1.0) > trace_tol or abs(np.trace(m).imag) > trace_tol:
-        raise ValueError(f"density operator trace {np.trace(m):.3g} != 1")
+    trace = complex(np.trace(m))
+    if abs(trace.real - 1.0) > trace_tol or abs(trace.imag) > trace_tol:
+        raise ValueError(f"density operator trace {trace.real}{trace.imag:+}j != 1")
     if np.linalg.eigvalsh(m).min() < -eig_tol:
         raise ValueError("density operator has a negative eigenvalue")
     return m
@@ -111,7 +112,7 @@ class JointDistribution:
         table = _clip_probabilities(np.asarray(self.table, dtype=float))
         total = table.sum()
         if abs(total - 1.0) > TOTAL_TOL:
-            raise ValueError(f"joint table sums to {total!r}, not 1")
+            raise ValueError(f"joint table sums to {float(total)}, not 1")
         table /= total
         object.__setattr__(self, "table", table)
 

@@ -421,6 +421,30 @@ class TestSimulate:
     def test_zero_samples_rejected(self, zx_file, capsys):
         assert main(["simulate", zx_file, "--order", "Z", "X", "--samples", "0"]) == 2
 
+    @pytest.mark.parametrize("diagonal", [(0.5 + 5e-9, 0.5), (1 + 5e-9, -5e-9),
+                                          (1 + 5e-11, -5e-11)])
+    def test_density_state_within_load_tolerance(self, diagonal, tmp_path, capsys):
+        # the loader accepts a trace and eigenvalues within 1e-8; the table
+        # and the sampler hold the state to 1e-9 and 1e-10
+        path = write_diagonal_state(tmp_path / "rho.json", diagonal)
+        assert main(["simulate", path, "--order", "Z", "X", "--samples", "1000",
+                     "--format", "json"]) == 0
+        analytic = json.loads(capsys.readouterr().out)["joint"]["analytic"]
+        assert np.sum(analytic) == pytest.approx(1.0, abs=1e-9)
+
+    def test_density_state_outside_load_tolerance(self, tmp_path, monkeypatch, capsys):
+        path = write_diagonal_state(tmp_path / "rho.json", (0.5 + 2e-8, 0.5))
+        monkeypatch.setattr(cli, "sample_sequence", lambda *args: pytest.fail("sampled"))
+        assert main(["simulate", path, "--order", "Z", "X", "--samples", "1000"]) == 2
+        assert "density operator trace 1.0000000199999999+0.0j != 1" in capsys.readouterr().err
+
+
+def write_diagonal_state(path, diagonal) -> str:
+    """The Z/X scenario with the density matrix diag(diagonal) as its state."""
+    doc = dict(ZX_DOC, state=[[[diagonal[0], 0], [0, 0]], [[0, 0], [diagonal[1], 0]]])
+    path.write_text(json.dumps(doc))
+    return str(path)
+
 
 def write_chain_scenario(path, dim: int, seed: int, state: bool = True) -> str:
     """Random observables A, B, C and D, where D has two eigenvalues of multiplicity dim/2."""
@@ -471,6 +495,8 @@ class TestJsonText:
         {"a": np.array([0.1, 0.1]), "b": [np.array([[1.5, NAN]]), 0.5]},
         [np.array([-0.0, 1e-05]), {"c": np.array([[[2.0]]])}],
         {1: np.array([0.5, 0.5]), "k": [np.array([0.25])]},
+        pytest.param(["x", np.array([0.5, 0.25])], id="list-after-str"), {"s": "a\nb", "a": np.array([[0.5], [1.5]])},
+        {"n": None, "a": np.array([0.5]), "m": None, "b": np.zeros(0), "c": [None, np.ones(2)]},
     ], ids=lambda value: type(value).__name__)
     @pytest.mark.parametrize("depth", [0, 1, 3])
     def test_arrays_match_json_dumps_of_tolist(self, value, depth):
@@ -479,6 +505,15 @@ class TestJsonText:
             value = [value]
         expected = json.dumps(value, indent=2, default=np.ndarray.tolist)
         assert _json_text(value) == expected
+
+    @pytest.mark.parametrize("value", [{0.5}, 1j, [0.5, {"a": 1j}], {"a": np.array([1.0]), "b": {1}}],
+                             ids=["set", "complex", "nested-complex", "set-after-array"])
+    def test_unserializable_raises_type_error(self, value):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(value, indent=2, default=lambda obj: obj.tolist()
+                       if isinstance(obj, np.ndarray) else json.JSONEncoder().default(obj))
+        with pytest.raises(TypeError, match=re.escape(str(expected.value))):
+            _json_text(value)
 
     @pytest.mark.parametrize("dim,order,state", [
         (2, "A B", True), (2, "D A", True), (3, "A B C", False), (4, "A D B", True),

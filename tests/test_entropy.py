@@ -28,7 +28,7 @@ class TestShannonEntropy:
         assert shannon_entropy([p, 1 - p]) == pytest.approx(0.246, abs=5e-4)
 
     def test_rejects_bad_distributions(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^weights sum to 1\.1, not 1$"):
             shannon_entropy([0.5, 0.6])
         with pytest.raises(ValueError):
             shannon_entropy([1.5, -0.5])

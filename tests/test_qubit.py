@@ -54,7 +54,7 @@ class TestSpinObservable:
         assert overlap == pytest.approx(0.75, abs=1e-12)
 
     def test_rejects_non_unit_vector(self):
-        with pytest.raises(ValueError, match="unit"):
+        with pytest.raises(ValueError, match=r"unit vector, \|n\| = 1\.4142135623730951$"):
             spin_observable((1.0, 1.0, 0.0))
 
 

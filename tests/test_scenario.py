@@ -5,6 +5,7 @@ import pytest
 
 from sequr.errors import DimensionMismatch, ScenarioError
 from sequr.scenario import load_scenario, parse_scenario
+from sequr.states import random_state
 
 ZX_DOC = {
     "dim": 2,
@@ -79,7 +80,7 @@ def test_bad_complex_entry():
 def test_unnormalized_state_vector():
     doc = dict(ZX_DOC)
     doc["state"] = [[1.0, 0], [1.0, 0]]
-    with pytest.raises(ScenarioError, match="norm"):
+    with pytest.raises(ScenarioError, match=r"^state vector norm 1\.4142135623730951 != 1$"):
         parse_scenario(json.dumps(doc))
 
 
@@ -88,6 +89,29 @@ def test_invalid_density_state():
     doc["state"] = [[[2.0, 0], [0, 0]], [[0, 0], [-1.0, 0]]]
     with pytest.raises(ScenarioError, match="state"):
         parse_scenario(json.dumps(doc))
+
+
+@pytest.mark.parametrize("given", [
+    np.diag([0.5 + 5e-9, 0.5]), np.diag([1 + 5e-9, -5e-9]), np.diag([1 + 5e-11, -5e-11]),
+    random_state(4, seed=3) * (1 + 5e-9),
+], ids=["trace-5e-9", "eigenvalue-5e-9", "eigenvalue-5e-11", "pure-4"])
+def test_density_state_within_tolerance_is_made_exact(given):
+    doc = {"dim": len(given),
+           "observables": {"I": [[[x, 0] for x in row] for row in np.eye(len(given)).tolist()]},
+           "state": [[[z.real, z.imag] for z in row] for row in given.tolist()]}
+    rho = parse_scenario(json.dumps(doc)).state
+    assert abs(np.trace(rho) - 1) <= 1e-15
+    assert np.abs(rho - rho.conj().T).max() <= 1e-15
+    assert np.linalg.eigvalsh(rho).min() >= -1e-15
+    assert np.abs(rho - given).max() <= 1e-8
+
+
+def test_density_state_trace_outside_tolerance_is_refused():
+    doc = dict(ZX_DOC)
+    doc["state"] = [[[0.5 + 2e-8, 0], [0, 0]], [[0, 0], [0.5, 0]]]
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(json.dumps(doc))
+    assert str(info.value) == f"state: density operator trace {0.5 + 2e-8 + 0.5}+0.0j != 1"
 
 
 def test_load_scenario_from_file(tmp_path):

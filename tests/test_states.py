@@ -105,7 +105,7 @@ class TestWignerJoint:
 
 class TestJointDistribution:
     def test_rejects_bad_total(self):
-        with pytest.raises(ValueError, match="sums to"):
+        with pytest.raises(ValueError, match=r"^joint table sums to 1\.1, not 1$"):
             JointDistribution(axes=(np.array([0, 1]),), table=np.array([0.6, 0.5]))
 
     def test_clips_tiny_negatives(self):
