@@ -7,6 +7,10 @@ so measurement order matters. The distinct-ensemble bounds read the table
 c[i, j] = ||P_A(a_i) P_B(b_j)||^2 of the eigenprojectors of A and B, built on
 the isometries of ``states._chain_overlaps``. Two projectors have
 ||P + Q|| = 1 + ||PQ||; for nondegenerate spectra c[i, j] = |<a_i|b_j>|^2.
+
+The bounds, ``squared_overlaps`` and ``lambda_s_chain`` also take observables
+stacked by ``linalg.stack_observables`` and then return one value (or table)
+per instance, bit-equal to the value of that instance alone.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .entropy import _quadratic_entropy, _quadratic_entropy_gradient
-from .linalg import Observable
+from .linalg import Observable, _scalar_or_stack
 from .optimize import OptimizerConfig, minimize_in_subspace
 from .states import _chain_overlaps, _sequential_stacks
 
@@ -30,12 +34,32 @@ def _overlap_table(a: Observable, b: Observable) -> np.ndarray:
     ``_chain_overlaps([a, b])``, its squared Frobenius norm unless both eigenspaces are degenerate.
     """
     _, blocks = _chain_overlaps([a, b])
-    weights = np.abs(np.hstack(blocks).T) ** 2  # rows: eigenbasis of a, columns: of b
-    table = np.add.reduceat(np.add.reduceat(weights, a.edges[:-1]), b.edges[:-1], axis=1)
+    # rows: eigenbasis of a, columns: of b
+    weights = np.abs(np.concatenate(blocks, axis=-1).swapaxes(-2, -1)) ** 2
+    table = np.add.reduceat(np.add.reduceat(weights, a.edges[:-1], axis=-2), b.edges[:-1],
+                            axis=-1)
     for i in (n for n, m in enumerate(a.multiplicities) if m > 1):
         for j in (n for n, m in enumerate(b.multiplicities) if m > 1):
-            table[i, j] = np.linalg.norm(blocks[i][b.edges[j]:b.edges[j + 1]], 2) ** 2
+            block = blocks[i][..., b.edges[j]:b.edges[j + 1], :]
+            table[..., i, j] = np.linalg.norm(block, 2, axis=(-2, -1)) ** 2
     return table
+
+
+def _of_largest(form, table: np.ndarray):
+    """``form`` (a ``math`` expression) of the largest entry of each overlap table:
+    a float, or an array with one value per instance of a stack."""
+    largest = table.max(axis=(-2, -1))
+    if largest.ndim == 0:
+        return form(largest)
+    return np.array([form(c) for c in largest.tolist()]).reshape(largest.shape)
+
+
+def _partovi_form(c: float) -> float:
+    return 2.0 * math.log(2.0 / (1.0 + math.sqrt(c)))
+
+
+def _krishna_parthasarathy_form(c: float) -> float:
+    return -math.log(c) + 0.0
 
 
 def squared_overlaps(a: Observable, b: Observable) -> np.ndarray:
@@ -55,8 +79,7 @@ def squared_overlaps(a: Observable, b: Observable) -> np.ndarray:
 
 def deutsch_bound(a: Observable, b: Observable) -> float:
     """2 log[2 / (1 + max |<a_i|b_j>|)]: ``partovi_bound`` on nondegenerate spectra."""
-    top = math.sqrt(squared_overlaps(a, b).max())
-    return 2.0 * math.log(2.0 / (1.0 + top))
+    return _of_largest(_partovi_form, squared_overlaps(a, b))
 
 
 def partovi_bound(a: Observable, b: Observable) -> float:
@@ -64,12 +87,12 @@ def partovi_bound(a: Observable, b: Observable) -> float:
 
     As ||P + Q|| = 1 + ||PQ||, this is 2 log[2 / (1 + max ||P_A(a_i) P_B(b_j)||)].
     """
-    return 2.0 * math.log(2.0 / (1.0 + math.sqrt(_overlap_table(a, b).max())))
+    return _of_largest(_partovi_form, _overlap_table(a, b))
 
 
 def maassen_uffink_bound(a: Observable, b: Observable) -> float:
     """log[1 / max |<a_i|b_j>|^2]: ``krishna_parthasarathy_bound`` on nondegenerate spectra."""
-    return -math.log(squared_overlaps(a, b).max()) + 0.0
+    return _of_largest(_krishna_parthasarathy_form, squared_overlaps(a, b))
 
 
 def krishna_parthasarathy_bound(a: Observable, b: Observable) -> float:
@@ -78,7 +101,7 @@ def krishna_parthasarathy_bound(a: Observable, b: Observable) -> float:
     As ||P + Q|| = 1 + ||PQ||, Partovi's bound is 2 log[2 / (1 + t)] <= -2 log t for
     t = max ||P_A(a_i) P_B(b_j)|| <= 1.
     """
-    return -math.log(_overlap_table(a, b).max()) + 0.0
+    return _of_largest(_krishna_parthasarathy_form, _overlap_table(a, b))
 
 
 def is_complementary(a: Observable, b: Observable, tol: float = 1e-9) -> bool:
@@ -116,17 +139,22 @@ def lambda_s_chain(chain, config: OptimizerConfig | None = None) -> ChainBound:
                          "or more needs a nondegenerate one")
     first.require_same_dim(later[0])
     stacks = _sequential_stacks(later)
-    stages = np.array([_quadratic_entropy(stack, first.eigenbasis.T) for stack in stacks])
+    states = first.eigenbasis.swapaxes(-2, -1)
+    # stages[k][..., i]: stage k's entropy from eigenvector i
+    stages = np.array([_quadratic_entropy(stack[..., None, :, :, :], states) for stack in stacks])
+    lead = states.shape[:-2]
     for lo, hi, basis in zip(first.edges, first.edges[1:], first.eigenvectors):
         if hi - lo > 1:
             cfg = replace(config or OptimizerConfig(seed=0), starts=_SUBSPACE_STARTS * (hi - lo))
-            stages[:, lo:hi] = minimize_in_subspace(
-                lambda psi: _quadratic_entropy(stacks[0], psi), basis.T, cfg,
-                gradient=lambda psi: _quadratic_entropy_gradient(stacks[0], psi),
-            ).value
-    return ChainBound(stagewise=float(stages.min(axis=1).sum()),
-                      common_state=float(stages.sum(axis=0).min()),
-                      second_stage=float(stages[-1].min()))
+            for at in np.ndindex(lead):
+                stack = stacks[0][at]
+                stages[(slice(None), *at, slice(lo, hi))] = minimize_in_subspace(
+                    lambda psi: _quadratic_entropy(stack, psi), basis[at].T, cfg,
+                    gradient=lambda psi: _quadratic_entropy_gradient(stack, psi),
+                ).value
+    return ChainBound(stagewise=_scalar_or_stack(stages.min(axis=-1).sum(axis=0)),
+                      common_state=_scalar_or_stack(stages.sum(axis=0).min(axis=-1)),
+                      second_stage=_scalar_or_stack(stages[-1].min(axis=-1)))
 
 
 def lambda_s_two(a: Observable, b: Observable, config: OptimizerConfig | None = None) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Observable
+from .linalg import Observable, _scalar_or_stack
 from .states import (TOTAL_TOL, _clip_probabilities, luders_map, outcome_probabilities,
                      wigner_joint)
 
@@ -43,10 +43,11 @@ def _quadratic_entropy(stack: np.ndarray, states: np.ndarray) -> np.ndarray:
     """Entropies of the distributions <psi|M_k|psi> for a stack of operators M_k.
 
     Row-wise like ``_entropy``: ``states`` of shape (..., dim) give values of
-    shape (...). A roundoff-negative weight lies below ``WEIGHT_FLOOR`` and adds
-    nothing; a NaN state gives a NaN value.
+    shape (...). Leading axes of ``stack`` (..., n, dim, dim) broadcast
+    against those of ``states``. A roundoff-negative weight lies below
+    ``WEIGHT_FLOOR`` and adds nothing; a NaN state gives a NaN value.
     """
-    return _entropy(np.einsum("kij,...i,...j->...k", stack, states.conj(), states).real)
+    return _entropy(np.einsum("...kij,...i,...j->...k", stack, states.conj(), states).real)
 
 
 def _quadratic_entropy_gradient(stack: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -71,22 +72,33 @@ def shannon_entropy(weights) -> float:
     The result lies in [0, log n]. Raises ``ValueError`` if the weights are
     not a probability distribution (within clipping tolerance).
     """
-    p = _clip_probabilities(np.asarray(weights, dtype=float).ravel())
-    if p.max(initial=0.0) > 1.0 + TOTAL_TOL:
+    return float(_distribution_entropy(np.asarray(weights, dtype=float).ravel()))
+
+
+def _distribution_entropy(weights: np.ndarray) -> np.ndarray:
+    """``shannon_entropy`` row-wise over the last axis, each row checked on its own."""
+    p = _clip_probabilities(weights)
+    if (p.max(axis=-1, initial=0.0) > 1.0 + TOTAL_TOL).any():
         raise ValueError("weights must lie in [0, 1]")
-    if abs(p.sum() - 1.0) > TOTAL_TOL:
-        raise ValueError(f"weights sum to {float(p.sum())}, not 1")
-    return float(_entropy(p))
+    totals = p.sum(axis=-1)
+    off = np.abs(totals - 1.0) > TOTAL_TOL
+    if off.any():
+        raise ValueError(f"weights sum to {float(totals[off][0])}, not 1")
+    return _entropy(p)
 
 
 def entropy_distinct(rho: np.ndarray, obs: Observable) -> float:
-    """Entropic uncertainty of one observable measured on its own ensemble."""
-    return shannon_entropy(outcome_probabilities(rho, obs))
+    """Entropic uncertainty of one observable measured on its own ensemble.
+
+    Stacked like ``outcome_probabilities``: one value per instance.
+    """
+    return _scalar_or_stack(_distribution_entropy(outcome_probabilities(rho, obs)))
 
 
 @dataclass(frozen=True)
 class EntropyReport:
-    """Marginal and joint entropies of a sequential measurement."""
+    """Marginal and joint entropies of a sequential measurement; on stacked
+    observables each entropy is an array with one value per instance."""
 
     s_a: float
     s_b: float
@@ -100,6 +112,8 @@ def entropies_sequential(rho: np.ndarray, a: Observable, b: Observable) -> Entro
     The first marginal entropy coincides with the distinct-measurement value;
     the second is the distinct-measurement entropy of ``b`` in the collapsed
     state. The joint entropy obeys sub-additivity and dominates both marginals.
+    ``rho`` and stacked observables may carry a leading instance axis, as in
+    ``wigner_joint``.
     """
     return _sequential_report(wigner_joint(rho, a, b))
 
@@ -112,9 +126,11 @@ def entropies_sequential_3(
 
 
 def _sequential_report(joint) -> EntropyReport:
-    s_a, s_b, *s_c = (shannon_entropy(p) for p in joint.marginals())
+    lead = joint.table.shape[:joint.table.ndim - len(joint.axes)]
+    s_a, s_b, *s_c = (_scalar_or_stack(_distribution_entropy(p)) for p in joint.marginals())
+    s_joint = _distribution_entropy(joint.table.reshape(*lead, -1))
     return EntropyReport(s_a=s_a, s_b=s_b, s_c=s_c[0] if s_c else None,
-                         s_joint=shannon_entropy(joint.table))
+                         s_joint=_scalar_or_stack(s_joint))
 
 
 @dataclass(frozen=True)
@@ -140,34 +156,41 @@ class VarianceReport:
 
 
 def variance_relations(rho: np.ndarray, a: Observable, b: Observable) -> VarianceReport:
-    """Evaluate both variance-form uncertainty relations for ``a`` and ``b`` on ``rho``."""
+    """Evaluate both variance-form uncertainty relations for ``a`` and ``b`` on ``rho``.
+
+    Stacked like ``wigner_joint``: every field then holds one value (or one
+    ``c_of_b``) per instance.
+    """
     a.require_same_dim(rho)
     b.require_same_dim(rho)
     rho = np.asarray(rho, dtype=complex)
 
     def expect(m):
-        return np.trace(rho @ m)
+        return np.trace(rho @ m, axis1=-2, axis2=-1)
 
-    var_a = float((expect(a.matrix @ a.matrix) - expect(a.matrix) ** 2).real)
-    var_b = float((expect(b.matrix @ b.matrix) - expect(b.matrix) ** 2).real)
+    def mean(p, values):
+        return (p[..., None, :] @ values[..., :, None])[..., 0, 0]
+
+    var_a = _scalar_or_stack((expect(a.matrix @ a.matrix) - expect(a.matrix) ** 2).real)
+    var_b = _scalar_or_stack((expect(b.matrix @ b.matrix) - expect(b.matrix) ** 2).real)
     commutator = a.matrix @ b.matrix - b.matrix @ a.matrix
-    robertson = 0.25 * abs(expect(commutator)) ** 2
+    robertson = 0.25 * np.abs(expect(commutator)) ** 2
 
     joint = wigner_joint(rho, a, b)
     pa, pb = joint.marginals()
-    ea = float(pa @ joint.axes[0])
-    eb = float(pb @ joint.axes[1])
-    var_a_seq = float(pa @ joint.axes[0] ** 2) - ea**2
-    var_b_seq = float(pb @ joint.axes[1] ** 2) - eb**2
+    ea = mean(pa, joint.axes[0])
+    eb = mean(pb, joint.axes[1])
+    var_a_seq = _scalar_or_stack(mean(pa, joint.axes[0] ** 2) - ea**2)
+    var_b_seq = _scalar_or_stack(mean(pb, joint.axes[1] ** 2) - eb**2)
     c_of_b = luders_map(b.matrix, a)
-    successive = abs(expect(a.matrix @ c_of_b) - expect(a.matrix) * expect(c_of_b)) ** 2
+    successive = np.abs(expect(a.matrix @ c_of_b) - expect(a.matrix) * expect(c_of_b)) ** 2
 
     return VarianceReport(
         var_a=var_a,
         var_b=var_b,
-        robertson_rhs=float(robertson),
+        robertson_rhs=_scalar_or_stack(robertson),
         var_a_seq=var_a_seq,
         var_b_seq=var_b_seq,
-        successive_rhs=float(successive),
+        successive_rhs=_scalar_or_stack(successive),
         c_of_b=c_of_b,
     )

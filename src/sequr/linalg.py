@@ -79,8 +79,7 @@ def operator_norm(matrix: np.ndarray):
     ``float``; a stack gives an array, bit-equal to the per-matrix values.
     """
     m = as_complex_matrix(matrix, stacked=True)
-    norms = np.linalg.norm(m, ord=2, axis=(-2, -1))
-    return float(norms) if m.ndim == 2 else norms
+    return _scalar_or_stack(np.linalg.norm(m, ord=2, axis=(-2, -1)))
 
 
 def default_cluster_tol(eigenvalues: np.ndarray):
@@ -106,6 +105,12 @@ class Observable:
     read-only copy of the input, so a later write to the caller's array cannot
     pull it away from the stored resolution. Observables compare by identity
     and are hashable.
+
+    ``stack_observables`` builds one Observable for a group of instances that
+    share ``edges``: its arrays carry a leading instance axis (``matrix`` is
+    (n, dim, dim), ``eigenvalues`` (n, n_outcomes), ``projectors``
+    (n, n_outcomes, dim, dim)), and the kernels that take Observables map it
+    instance by instance, bit-equal to calling them on each instance.
     """
 
     matrix: np.ndarray
@@ -115,11 +120,11 @@ class Observable:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     @property
     def n_outcomes(self) -> int:
-        return len(self.eigenvalues)
+        return len(self.edges) - 1
 
     @property
     def multiplicities(self) -> tuple:
@@ -131,13 +136,13 @@ class Observable:
 
     @cached_property
     def eigenvectors(self) -> tuple:
-        return tuple(self.eigenbasis[:, lo:hi] for lo, hi in zip(self.edges, self.edges[1:]))
+        return tuple(self.eigenbasis[..., lo:hi] for lo, hi in zip(self.edges, self.edges[1:]))
 
     @cached_property
     def projectors(self) -> np.ndarray:
         """The rank-one projectors of the eigenbasis summed per eigenspace, C-contiguous."""
-        rank_one = np.einsum("ik,jk->kij", self.eigenbasis, self.eigenbasis.conj())
-        return np.add.reduceat(rank_one, self.edges[:-1])
+        rank_one = np.einsum("...ik,...jk->...kij", self.eigenbasis, self.eigenbasis.conj())
+        return np.add.reduceat(rank_one, self.edges[:-1], axis=-3)
 
     def require_same_dim(self, other) -> None:
         dim = other.shape[-1] if isinstance(other, np.ndarray) else other.dim
@@ -145,6 +150,26 @@ class Observable:
             raise DimensionMismatch(
                 f"dimension mismatch: {self.dim} vs {dim}"
             )
+
+
+def stack_observables(observables) -> Observable:
+    """One Observable with a leading instance axis for observables that share ``edges``.
+
+    Raises ``ValueError`` if the edges (the eigenspace sizes) differ.
+    """
+    edges = observables[0].edges
+    if any(obs.edges != edges for obs in observables):
+        raise ValueError("stacked observables must have the same eigenspace sizes")
+    matrix, basis = (np.stack(arrays) for arrays in
+                     zip(*((obs.matrix, obs.eigenbasis) for obs in observables)))
+    matrix.flags.writeable = basis.flags.writeable = False
+    return Observable(matrix=matrix, eigenvalues=np.stack([obs.eigenvalues for obs in observables]),
+                      eigenbasis=basis, edges=edges)
+
+
+def _scalar_or_stack(values):
+    """A 0-d result as a ``float``; a stacked result as the array it is."""
+    return float(values) if np.ndim(values) == 0 else values
 
 
 def _check_dim(dim: int) -> None:
@@ -190,12 +215,13 @@ def _resolve(m: np.ndarray) -> list:
     values, vectors = np.linalg.eigh(m)
     vectors.flags.writeable = False
     cuts = values[:, 1:] - values[:, :-1] > default_cluster_tol(values)[:, None]
+    every = tuple(range(dim + 1))
     observables = []
-    for h, vals, vecs, split in zip(m, values, vectors, cuts):
-        edges = (0, *(np.flatnonzero(split) + 1).tolist(), dim)
-        observables.append(Observable(
-            matrix=h,
-            eigenvalues=vals if split.all() else np.array(
-                [vals[lo:hi].mean() for lo, hi in zip(edges, edges[1:])]),
-            eigenbasis=vecs, edges=edges))
+    for h, vals, vecs, split, whole in zip(m, values, vectors, cuts, cuts.all(axis=1).tolist()):
+        if whole:
+            edges = every
+        else:
+            edges = (0, *(np.flatnonzero(split) + 1).tolist(), dim)
+            vals = np.array([vals[lo:hi].mean() for lo, hi in zip(edges, edges[1:])])
+        observables.append(Observable(matrix=h, eigenvalues=vals, eigenbasis=vecs, edges=edges))
     return observables

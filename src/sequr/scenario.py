@@ -142,14 +142,11 @@ def _parse_state(raw, dim: int) -> np.ndarray:
         return pure_density(amps)
     matrix = _complex_matrix(raw, dim, "state")
     try:
-        matrix = check_density(matrix, trace_tol=1e-8, eig_tol=1e-8)
+        # made exact, as pure_density normalizes a vector: the joint table and
+        # the sampler hold the state to 1e-9 and 1e-10, tighter than 1e-8
+        return check_density(matrix, trace_tol=1e-8, eig_tol=1e-8)
     except ValueError as exc:
         raise ScenarioError(f"state: {exc}") from exc
-    # made exact, as pure_density normalizes a vector: the joint table and the
-    # sampler hold the state to 1e-9 and 1e-10, tighter than the 1e-8 accepted
-    weights, basis = np.linalg.eigh((matrix + matrix.conj().T) / 2)
-    weights = np.clip(weights, 0.0, None)
-    return (basis * (weights / weights.sum())) @ basis.conj().T
 
 
 def load_scenario(path) -> Scenario:

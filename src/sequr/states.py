@@ -14,7 +14,9 @@ products and drawing the leaves of a branch in one call, and provides an
 independent stochastic oracle for the table; the operator stacks of the
 sequential bound and search are collapsed on the same isometries.
 ``luders_map``, ``outcome_probabilities`` and ``interference_gap`` stay on the
-projectors, as the definitional oracle.
+projectors, as the definitional oracle. Every function here that takes a state
+and ``Observable``s also takes a stack of states with observables stacked by
+``linalg.stack_observables``, and maps it instance by instance.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from itertools import accumulate
 import numpy as np
 import numpy.random  # noqa: F401  (numpy 2 imports it lazily, inside the first seeded call)
 
-from .linalg import Observable, _check_dim, _hermitian, as_complex_matrix, spectral_resolution
+from .linalg import (Observable, _check_dim, _hermitian, _scalar_or_stack, as_complex_matrix,
+                     spectral_resolution)
 
 #: Probabilities in [-NEGATIVE_CLIP, 0) are treated as roundoff and clipped to 0.
 NEGATIVE_CLIP = 1e-12
@@ -57,7 +60,15 @@ def pure_density(vector) -> np.ndarray:
 
 
 def check_density(rho: np.ndarray, trace_tol: float = 1e-10, eig_tol: float = 1e-10) -> np.ndarray:
-    """Validate a density operator: Hermitian, unit trace, eigenvalues >= -eig_tol."""
+    """Validate a density operator and return it made exact.
+
+    ``rho`` must be Hermitian, with unit trace within ``trace_tol`` and no
+    eigenvalue below ``-eig_tol``. The state returned is rebuilt from the
+    eigendecomposition of its Hermitian part, with the eigenvalues clipped at
+    0 and divided by their sum, as ``pure_density`` normalizes a vector: the
+    joint table and the sampler hold a state to tighter tolerances than the
+    ones accepted here.
+    """
     m = as_complex_matrix(rho)
     if not _hermitian(m):
         raise ValueError("density operator is not Hermitian")
@@ -66,7 +77,9 @@ def check_density(rho: np.ndarray, trace_tol: float = 1e-10, eig_tol: float = 1e
         raise ValueError(f"density operator trace {trace.real}{trace.imag:+}j != 1")
     if np.linalg.eigvalsh(m).min() < -eig_tol:
         raise ValueError("density operator has a negative eigenvalue")
-    return m
+    weights, basis = np.linalg.eigh((m + m.conj().T) / 2)
+    weights = np.clip(weights, 0.0, None)
+    return (basis * (weights / weights.sum())) @ basis.conj().T
 
 
 def _clip_probabilities(p: np.ndarray) -> np.ndarray:
@@ -76,9 +89,19 @@ def _clip_probabilities(p: np.ndarray) -> np.ndarray:
 
 
 def outcome_probabilities(rho: np.ndarray, obs: Observable) -> np.ndarray:
-    """Outcome distribution Tr[rho P(a_i)] of a single measurement, no collapse."""
+    """Outcome distribution Tr[rho P(a_i)] of a single measurement, no collapse.
+
+    ``rho`` and a stacked ``obs`` may carry leading instance axes, which
+    broadcast; the distributions are then stacked along them. Each is taken
+    by its own contraction, as a stacked one moves the last bit.
+    """
     obs.require_same_dim(rho)
-    p = np.einsum("kij,ji->k", obs.projectors, rho).real
+    projectors = obs.projectors
+    lead = np.broadcast_shapes(projectors.shape[:-3], np.shape(rho)[:-2])
+    n, dim = obs.n_outcomes, obs.dim
+    pairs = zip(np.broadcast_to(projectors, (*lead, n, dim, dim)).reshape(-1, n, dim, dim),
+                np.broadcast_to(rho, (*lead, dim, dim)).reshape(-1, dim, dim))
+    p = np.array([np.einsum("kij,ji->k", q, r) for q, r in pairs]).reshape(*lead, n).real
     return _clip_probabilities(p)
 
 
@@ -86,12 +109,16 @@ def luders_map(rho: np.ndarray, obs: Observable) -> np.ndarray:
     """Non-selective collapse sum_i P(a_i) rho P(a_i), of one operator or of a stack.
 
     ``rho`` is one (d, d) operator or a stack of shape (..., d, d), mapped
-    matrix by matrix. The output commutes with every eigenprojector of
-    ``obs``; a density operator maps to a density operator.
+    matrix by matrix; a stacked ``obs`` maps the instances of a stack of the
+    same length. The output commutes with every eigenprojector of ``obs``; a
+    density operator maps to a density operator.
     """
     obs.require_same_dim(rho)
-    out = np.zeros_like(np.asarray(rho, dtype=complex))
-    for p in obs.projectors:
+    projectors = obs.projectors
+    out = np.zeros(np.broadcast_shapes(np.shape(rho), projectors.shape[:-3] + (1, 1)),
+                   dtype=complex)
+    for k in range(obs.n_outcomes):
+        p = projectors[..., k, :, :]
         out += p @ rho @ p
     return out
 
@@ -102,6 +129,9 @@ class JointDistribution:
 
     ``axes[k]`` lists the distinct eigenvalues of the k-th observable and
     ``table`` is the nonnegative probability array indexed in the same order.
+    The tables of a stack of instances (``wigner_joint`` on stacked
+    observables) carry a leading instance axis, in ``table`` and in each of
+    ``axes``; each table is normalized and checked on its own.
     """
 
     axes: tuple
@@ -110,18 +140,21 @@ class JointDistribution:
     def __post_init__(self):
         # the clipped copy is the only one made: it is normalized in place
         table = _clip_probabilities(np.asarray(self.table, dtype=float))
-        total = table.sum()
-        if abs(total - 1.0) > TOTAL_TOL:
-            raise ValueError(f"joint table sums to {float(total)}, not 1")
-        table /= total
+        lead = table.shape[:table.ndim - len(self.axes)]
+        totals = table.reshape(*lead, -1).sum(axis=-1)
+        off = np.abs(totals - 1.0) > TOTAL_TOL
+        if off.any():
+            raise ValueError(f"joint table sums to {float(totals[off][0])}, not 1")
+        table /= totals.reshape(*lead, *[1] * len(self.axes))
         object.__setattr__(self, "table", table)
 
     def marginal(self, axis: int) -> np.ndarray:
-        others = tuple(k for k in range(self.table.ndim) if k != axis)
+        lead = self.table.ndim - len(self.axes)
+        others = tuple(lead + k for k in range(len(self.axes)) if k != axis)
         return self.table.sum(axis=others)
 
     def marginals(self) -> list:
-        return [self.marginal(k) for k in range(self.table.ndim)]
+        return [self.marginal(k) for k in range(len(self.axes))]
 
 
 def _table_shape(rho: np.ndarray, observables) -> tuple:
@@ -161,7 +194,7 @@ def _chain_overlaps(observables) -> list:
     previous = None
     for obs in observables:
         observables[0].require_same_dim(obs)
-        basis_h = obs.eigenbasis.conj().T
+        basis_h = obs.eigenbasis.conj().swapaxes(-2, -1)
         # B_0^dagger in C order, the layout of the products it replaces: a
         # transposed view moves table entries in the last bit
         overlaps.append([np.ascontiguousarray(basis_h)] if previous is None
@@ -183,18 +216,22 @@ def _sequential_stacks(chain) -> list:
     first, *later = chain
     if not later:
         return [first.projectors]
-    rows = [np.concatenate(level, axis=1) for level in _chain_overlaps(chain)]  # B_k^dagger B_{k-1}
-    carried = np.empty((0, first.dim, first.dim), dtype=complex)
+    # B_k^dagger B_{k-1}
+    rows = [np.concatenate(level, axis=-1) for level in _chain_overlaps(chain)]
+    lead = first.eigenbasis.shape[:-2]
+    carried = np.empty((*lead, 0, first.dim, first.dim), dtype=complex)
     for depth in range(len(chain) - 1, 0, -1):
         # stage depth's projectors join the later stages in eigenbasis depth - 1
         r, prior = rows[depth], chain[depth - 1]
-        projectors = np.add.reduceat(r.conj()[:, :, None] * r[:, None, :], chain[depth].edges[:-1])
+        projectors = np.add.reduceat(r.conj()[..., :, :, None] * r[..., :, None, :],
+                                     chain[depth].edges[:-1], axis=-3)
         # the eigenspace of prior that each column of its eigenbasis lies in
         label = np.searchsorted(prior.edges[1:], np.arange(prior.dim), side="right")
-        carried = np.concatenate([projectors, carried]) * (label[:, None] == label)
-        carried = rows[depth - 1].conj().T @ carried @ rows[depth - 1]
+        carried = np.concatenate([projectors, carried], axis=-3) * (label[:, None] == label)
+        back = rows[depth - 1][..., None, :, :]
+        carried = back.conj().swapaxes(-2, -1) @ carried @ back
     stops = list(accumulate((obs.n_outcomes for obs in later), initial=0))
-    return [first.projectors, *(carried[lo:hi] for lo, hi in zip(stops, stops[1:]))]
+    return [first.projectors, *(carried[..., lo:hi, :, :] for lo, hi in zip(stops, stops[1:]))]
 
 
 def wigner_joint(rho: np.ndarray, *observables: Observable) -> JointDistribution:
@@ -212,31 +249,39 @@ def wigner_joint(rho: np.ndarray, *observables: Observable) -> JointDistribution
     ``_chain_overlaps``). The last level keeps only the block traces. For
     nondegenerate observables every block is a number and the table is the
     Markov chain ``p_A(i) |<a_i|b_j>|^2 |<b_j|c_k>|^2 ...``.
+
+    On a stack of states (n, d, d) and stacked observables, the products run
+    per instance in the same order, as batched ``matmul``: the n tables are
+    those of the instances alone, bit for bit.
     """
     shape = _table_shape(rho, observables)
     overlaps = _chain_overlaps(observables)
+    rho = np.asarray(rho, dtype=complex)
+    lead = np.broadcast_shapes(rho.shape[:-2], observables[0].eigenbasis.shape[:-2])
     # blocks[j] stacks the reduced blocks of every prefix ending in outcome j
-    # of the latest observable, in C order of the outcomes before it
-    blocks = [np.asarray(rho, dtype=complex)[None]]
+    # of the latest observable, in C order of the outcomes before it, after
+    # the instance axes of a stack
+    blocks = [np.broadcast_to(rho, (*lead, *rho.shape[-2:]))[..., None, :, :]]
     for obs, level_overlaps in zip(observables[:-1], overlaps[:-1]):
         spans = list(zip(obs.edges[:-1], obs.edges[1:]))
-        rows = len(blocks[0])
-        extended = [np.empty((rows, len(blocks), hi - lo, hi - lo), dtype=complex)
+        rows = blocks[0].shape[-3]
+        extended = [np.empty((*lead, rows, len(blocks), hi - lo, hi - lo), dtype=complex)
                     for lo, hi in spans]
         for j, (t, block) in enumerate(zip(level_overlaps, blocks)):
             # one product pair per j -> l transition: sharing t @ block across l
             # saves under 10% and moves the last digit of a default verify margin
             for out, (lo, hi) in zip(extended, spans):
-                part = t[lo:hi]
-                out[:, j] = part @ block @ part.conj().T
-        blocks = [out.reshape(-1, *out.shape[2:]) for out in extended]
-    table = np.empty((len(blocks[0]), len(blocks), shape[-1]))
+                part = t[..., None, lo:hi, :]
+                out[..., j, :, :] = part @ block @ part.conj().swapaxes(-2, -1)
+        blocks = [out.reshape(*lead, -1, *out.shape[-2:]) for out in extended]
+    table = np.empty((*lead, blocks[0].shape[-3], len(blocks), shape[-1]))
     for j, (t, block) in enumerate(zip(overlaps[-1], blocks)):
         # only the diagonal of t @ block @ t^dagger, summed per eigenspace
+        t = t[..., None, :, :]
         diagonal = ((t @ block) * t.conj()).sum(axis=-1).real
-        table[:, j] = np.add.reduceat(diagonal, observables[-1].edges[:-1], axis=1)
+        table[..., j, :] = np.add.reduceat(diagonal, observables[-1].edges[:-1], axis=-1)
     axes = tuple(obs.eigenvalues.copy() for obs in observables)
-    return JointDistribution(axes=axes, table=table.reshape(shape))
+    return JointDistribution(axes=axes, table=table.reshape(*lead, *shape))
 
 
 def interference_gap(rho: np.ndarray, first: Observable, second: Observable) -> float:
@@ -248,7 +293,7 @@ def interference_gap(rho: np.ndarray, first: Observable, second: Observable) -> 
     """
     disturbed = outcome_probabilities(luders_map(rho, first), second)
     direct = outcome_probabilities(rho, second)
-    return float(np.abs(disturbed - direct).max())
+    return _scalar_or_stack(np.abs(disturbed - direct).max(axis=-1))
 
 
 def sample_sequence(rho: np.ndarray, chain, n: int, seed: int) -> np.ndarray:

@@ -8,10 +8,13 @@ fully deterministic for a fixed seed, so reruns are byte-identical.
 A property runs as array code: it draws up to ``STACK_INSTANCES`` instances at
 a time, in the order a one-at-a-time loop would draw them, then stacks the
 instances of each dimension and checks them together (one
-``spectral_resolutions`` call per stack, stacked norms and products).
-Functions under test that take ``Observable``s (the bounds, the entropies,
-``wigner_joint``, ``luders_map``) are still called per instance, through
-their modules.
+``spectral_resolutions`` call per stack, stacked norms and products). The
+instances of a stack whose observables share eigenspace sizes form a group
+(``_groups``), and the functions under test that take ``Observable``s (the
+bounds, the entropies, ``wigner_joint``, ``luders_map`` ...) are called once
+per group, through their modules, on observables stacked by
+``stack_observables``. They are the functions the CLI calls on one instance;
+a group gives each instance the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -24,14 +27,11 @@ import numpy as np
 from . import bounds as bd
 from . import entropy as ent
 from . import qubit
-from .linalg import eigh, operator_norm, spectral_resolutions
+from .linalg import eigh, operator_norm, spectral_resolutions, stack_observables
 from .states import (
     interference_gap,
     luders_map,
     outcome_probabilities,
-    pure_density,
-    random_hermitian,
-    random_state_vector,
     wigner_joint,
 )
 
@@ -79,10 +79,37 @@ def _counterexample(where) -> str:
 
 
 def _draw(names, dim, rng) -> list:
-    """The raw arrays of one instance, in the order of ``names``: ``rho`` is a
-    random density operator, every other name a random Hermitian matrix."""
-    return [_random_density(dim, rng) if name == "rho" else random_hermitian(dim, rng)
-            for name in names]
+    """The raw arrays of one instance, in the order of ``names``.
+
+    ``rho`` (first, if drawn) is a mixture of up to three random pure states,
+    sometimes exactly pure; every other name is a random Hermitian matrix.
+    Each array holds the bits of ``random_state_vector`` and
+    ``random_hermitian`` called in turn on ``rng``: after the mixture's
+    ``integers`` and ``dirichlet`` draws, one ``standard_normal`` call draws
+    every normal number in that order, and a state vector is normalized twice
+    (``random_state_vector``, then ``pure_density``) by the norm as
+    ``np.linalg.norm`` computes it.
+    """
+    mixed = names[0] == "rho"
+    weights = rng.dirichlet(np.ones(int(rng.integers(1, 4)))) if mixed else ()
+    normal = rng.standard_normal(2 * dim * (len(weights) + (len(names) - mixed) * dim))
+    split = 2 * dim * len(weights)
+    drawn = []
+    if mixed:
+        parts = normal[:split].reshape(-1, 2, 1, dim)
+        v = parts[:, 0] + 1j * parts[:, 1]
+        for _ in range(2):
+            # per vector, v.real.dot(v.real) + v.imag.dot(v.imag) bit for bit
+            v = v / np.sqrt(v.real @ v.real.swapaxes(-2, -1) + v.imag @ v.imag.swapaxes(-2, -1))
+        outer = v.swapaxes(-2, -1) * v.conj()
+        rho = np.zeros((dim, dim), dtype=complex)
+        for w, o in zip(weights, outer):
+            rho += w * o
+        drawn.append(rho)
+    parts = normal[split:].reshape(-1, 2, dim, dim)
+    g = parts[:, 0] + 1j * parts[:, 1]
+    drawn.extend((g + g.conj().swapaxes(-2, -1)) / 2)
+    return drawn
 
 
 def _worst_per_group(indices, dim, arrays, checks):
@@ -140,26 +167,49 @@ def _property(name: str, *draws: str):
 
 def _random_density(dim, rng):
     """Mixture of up to three random pure states (sometimes exactly pure)."""
-    k = int(rng.integers(1, 4))
-    weights = rng.dirichlet(np.ones(k))
-    rho = np.zeros((dim, dim), dtype=complex)
-    for w in weights:
-        rho += w * pure_density(random_state_vector(dim, rng))
-    return rho
+    return _draw(("rho",), dim, rng)[0]
+
+
+def _groups(*observables):
+    """The instances whose observables share eigenspace sizes, one group at a time.
+
+    ``observables`` holds one list per drawn name, an Observable per instance.
+    Yields ``(at, stacked)``: the group's instance indices, ascending, and one
+    ``stack_observables`` of each list over them. Groups come in the order of
+    their first instance.
+    """
+    keys = [tuple(obs.edges for obs in row) for row in zip(*observables)]
+    for key in dict.fromkeys(keys):
+        at = np.array([i for i, k in enumerate(keys) if k == key])
+        yield at, [stack_observables([column[i] for i in at]) for column in observables]
+
+
+def _per_instance(body, *observables) -> list:
+    """Call ``body(at, *stacked)`` once per group of ``_groups`` and put the rows of
+    each array it returns back in instance order."""
+    outs = None
+    for at, stacked in _groups(*observables):
+        arrays = body(at, *stacked)
+        if outs is None:
+            outs = [np.empty((len(observables[0]), *a.shape[1:]), dtype=a.dtype) for a in arrays]
+        for out, rows in zip(outs, arrays):
+            out[at] = rows
+    return outs
 
 
 def _resolved(observables, dim):
     """Eigenvalues ``(n, dim)`` and projectors ``(n, dim, dim, dim)`` of each
     observable, zero past its outcomes, and the ``(n, dim)`` mask of the
     outcomes present."""
-    values = np.zeros((len(observables), dim))
-    projectors = np.zeros((len(observables), dim, dim, dim), dtype=complex)
-    present = np.zeros((len(observables), dim), dtype=bool)
-    for i, obs in enumerate(observables):
-        values[i, :obs.n_outcomes] = obs.eigenvalues
-        projectors[i, :obs.n_outcomes] = obs.projectors
-        present[i, :obs.n_outcomes] = True
-    return values, projectors, present
+    def padded(at, obs):
+        k = obs.n_outcomes
+        values = np.zeros((len(at), dim))
+        projectors = np.zeros((len(at), dim, dim, dim), dtype=complex)
+        present = np.zeros((len(at), dim), dtype=bool)
+        values[:, :k], projectors[:, :k], present[:, :k] = obs.eigenvalues, obs.projectors, True
+        return values, projectors, present
+
+    return _per_instance(padded, observables)
 
 
 def _masked(margins, present):
@@ -199,13 +249,14 @@ def check_eigh_unitary_invariance(dim, h, g):
 @_property("wigner-marginals", "rho", "A", "B")
 def check_wigner_marginals(dim, rho, a, b):
     """Joint-table marginals equal the direct and collapsed outcome distributions."""
-    errors = []
-    for r, oa, ob in zip(rho, spectral_resolutions(a), spectral_resolutions(b)):
+    def errors(at, oa, ob):
+        r = rho[at]
         pa, pb = wigner_joint(r, oa, ob).marginals()
         collapsed = luders_map(r, oa)
-        errors.append((np.abs(pa - outcome_probabilities(r, oa)).max(),
-                       np.abs(pb - outcome_probabilities(collapsed, ob)).max()))
-    margins = 1e-12 - np.array(errors)
+        return (np.column_stack([np.abs(pa - outcome_probabilities(r, oa)).max(axis=-1),
+                                 np.abs(pb - outcome_probabilities(collapsed, ob)).max(axis=-1)]),)
+
+    margins = 1e-12 - _per_instance(errors, spectral_resolutions(a), spectral_resolutions(b))[0]
     return {"rho": rho, "A": a, "B": b}, list(zip(margins.T, ("first marginal",
                                                               "second marginal")))
 
@@ -213,33 +264,35 @@ def check_wigner_marginals(dim, rho, a, b):
 @_property("luders-fixed-points", "rho", "A", "B")
 def check_luders_fixed_points(dim, rho, a, b):
     """Collapse commutes with the projectors, is idempotent, and fixes commuting states."""
+    def collapsed(at, oa, ob):
+        once = luders_map(rho[at], oa)
+        # A state already diagonal in the first observable's eigenspaces is
+        # untouched, so the later measurement sees no interference shift.
+        return once, luders_map(once, oa), interference_gap(once, oa, ob)
+
     obs_a = spectral_resolutions(a)
-    once = np.stack([luders_map(r, oa) for r, oa in zip(rho, obs_a)])
+    once, twice, gaps = _per_instance(collapsed, obs_a, spectral_resolutions(b))
     _, p, present = _resolved(obs_a, dim)
     commutators = once[:, None] @ p - p @ once[:, None]
     checks = [(_masked(1e-10 - operator_norm(commutators[:, k]), present[:, k]), "commutation")
               for k in range(dim)]
-    twice = np.stack([luders_map(o, oa) for o, oa in zip(once, obs_a)])
     checks.append((1e-12 - operator_norm(twice - once), "idempotence"))
-    # A state already diagonal in the first observable's eigenspaces is
-    # untouched, so the later measurement sees no interference shift.
-    gaps = [interference_gap(o, oa, ob)
-            for o, oa, ob in zip(once, obs_a, spectral_resolutions(b))]
-    checks.append((1e-10 - np.array(gaps), "interference"))
+    checks.append((1e-10 - gaps, "interference"))
     return {"rho": rho, "A": a}, checks
 
 
 @_property("sequential-entropy-identities", "rho", "A", "B")
 def check_sequential_entropy_identities(dim, rho, a, b):
     """Sequential marginal entropies equal their distinct-measurement counterparts."""
-    errors = []
-    for r, oa, ob in zip(rho, spectral_resolutions(a), spectral_resolutions(b)):
+    def errors(at, oa, ob):
+        r = rho[at]
         rep = ent.entropies_sequential(r, oa, ob)
         collapsed = luders_map(r, oa)
-        errors.append((abs(rep.s_a - ent.entropy_distinct(r, oa)),
-                       abs(rep.s_a - ent.entropy_distinct(collapsed, oa)),
-                       abs(rep.s_b - ent.entropy_distinct(collapsed, ob))))
-    margins = 1e-12 - np.array(errors)
+        return (np.abs(np.column_stack([rep.s_a - ent.entropy_distinct(r, oa),
+                                        rep.s_a - ent.entropy_distinct(collapsed, oa),
+                                        rep.s_b - ent.entropy_distinct(collapsed, ob)])),)
+
+    margins = 1e-12 - _per_instance(errors, spectral_resolutions(a), spectral_resolutions(b))[0]
     return {"rho": rho, "A": a, "B": b}, list(zip(margins.T, ("S_A direct", "S_A collapsed",
                                                               "S_B collapsed")))
 
@@ -247,13 +300,14 @@ def check_sequential_entropy_identities(dim, rho, a, b):
 @_property("joint-subadditivity", "rho", "A", "B", "C")
 def check_joint_subadditivity(dim, rho, a, b, c):
     """Marginal entropy sums dominate the joint entropy, which dominates each marginal."""
-    rows = []
-    for r, oa, ob, oc in zip(rho, *map(spectral_resolutions, (a, b, c))):
-        two = ent.entropies_sequential(r, oa, ob)
-        three = ent.entropies_sequential_3(r, oa, ob, oc)
-        rows.append((two.s_a + two.s_b - two.s_joint, two.s_joint - two.s_a,
-                     two.s_joint - two.s_b, three.s_a + three.s_b + three.s_c - three.s_joint))
-    slack = 1e-9 + np.array(rows)
+    def rows(at, oa, ob, oc):
+        two = ent.entropies_sequential(rho[at], oa, ob)
+        three = ent.entropies_sequential_3(rho[at], oa, ob, oc)
+        return (np.column_stack([two.s_a + two.s_b - two.s_joint, two.s_joint - two.s_a,
+                                 two.s_joint - two.s_b,
+                                 three.s_a + three.s_b + three.s_c - three.s_joint]),)
+
+    slack = 1e-9 + _per_instance(rows, *map(spectral_resolutions, (a, b, c)))[0]
     return {"rho": rho, "A": a, "B": b}, list(zip(slack.T, (
         "subadditivity", "joint >= S_A", "joint >= S_B", "three-step subadditivity")))
 
@@ -261,36 +315,49 @@ def check_joint_subadditivity(dim, rho, a, b, c):
 @_property("strong-subadditivity", "rho", "A", "B", "C")
 def check_strong_subadditivity(dim, rho, a, b, c):
     """S(A,B) + S(B,C) >= S(A,B,C) + S(B) for the three-step joint distribution."""
-    slack = []
-    for r, oa, ob, oc in zip(rho, *map(spectral_resolutions, (a, b, c))):
-        joint = wigner_joint(r, oa, ob, oc)
-        s_abc = ent.shannon_entropy(joint.table)
-        s_ab = ent.shannon_entropy(joint.table.sum(axis=2))
-        s_bc = ent.shannon_entropy(joint.table.sum(axis=0))
-        s_b = ent.shannon_entropy(joint.marginal(1))
-        slack.append(s_ab + s_bc - s_abc - s_b)
-    return {"rho": rho, "A": a, "B": b, "C": c}, [(1e-9 + np.array(slack), "")]
+    def slack(at, oa, ob, oc):
+        joint = wigner_joint(rho[at], oa, ob, oc)
+        table = joint.table  # (instances, A, B, C)
+
+        def entropy(p):
+            return ent._distribution_entropy(p.reshape(len(at), -1))
+
+        return (entropy(table.sum(axis=3)) + entropy(table.sum(axis=1)) - entropy(table)
+                - entropy(joint.marginal(1)),)
+
+    margins = 1e-9 + _per_instance(slack, *map(spectral_resolutions, (a, b, c)))[0]
+    return {"rho": rho, "A": a, "B": b, "C": c}, [(margins, "")]
 
 
 @_property("joint-entropy-floor", "rho", "A", "B")
 def check_joint_entropy_floor(dim, rho, a, b):
     """The joint entropy never drops below the projector-overlap bound."""
-    slack = [ent.entropies_sequential(r, oa, ob).s_joint - bd.krishna_parthasarathy_bound(oa, ob)
-             for r, oa, ob in zip(rho, spectral_resolutions(a), spectral_resolutions(b))]
-    return {"rho": rho, "A": a, "B": b}, [(1e-9 + np.array(slack), "")]
+    def slack(at, oa, ob):
+        return (ent.entropies_sequential(rho[at], oa, ob).s_joint
+                - bd.krishna_parthasarathy_bound(oa, ob),)
+
+    margins = 1e-9 + _per_instance(slack, spectral_resolutions(a), spectral_resolutions(b))[0]
+    return {"rho": rho, "A": a, "B": b}, [(margins, "")]
 
 
 @_property("bound-ordering", "A", "B")
 def check_bound_ordering(dim, a, b):
-    """Sequential optimum >= Krishna-Parthasarathy/Maassen-Uffink >= Partovi/Deutsch."""
-    rows = []
-    for oa, ob in zip(spectral_resolutions(a), spectral_resolutions(b)):
+    """Sequential optimum >= Krishna-Parthasarathy/Maassen-Uffink >= Partovi/Deutsch.
+
+    Maassen-Uffink and Deutsch need nondegenerate spectra; a degenerate pair
+    has no such checks.
+    """
+    def rows(at, oa, ob):
         ls = bd.lambda_s_chain([oa, ob]).common_state
         kp = bd.krishna_parthasarathy_bound(oa, ob)
+        ls_kp, kp_partovi = ls - kp, kp - bd.partovi_bound(oa, ob)
+        if not (oa.is_nondegenerate and ob.is_nondegenerate):
+            return (np.column_stack([ls_kp, np.full(len(at), math.inf), kp_partovi,
+                                     np.full(len(at), math.inf)]),)
         mu = bd.maassen_uffink_bound(oa, ob)
-        rows.append((ls - kp, ls - mu, kp - bd.partovi_bound(oa, ob),
-                     mu - bd.deutsch_bound(oa, ob)))
-    slack = 1e-9 + np.array(rows)
+        return (np.column_stack([ls_kp, ls - mu, kp_partovi, mu - bd.deutsch_bound(oa, ob)]),)
+
+    slack = 1e-9 + _per_instance(rows, spectral_resolutions(a), spectral_resolutions(b))[0]
     return {"A": a, "B": b}, list(zip(slack.T, (
         "sequential >= KP", "sequential >= MU", "KP >= Partovi", "MU >= Deutsch")))
 
@@ -317,25 +384,30 @@ def check_projector_norm_identity(dim, a, b):
 @_property("sequential-entropy-floor", "rho", "A", "B")
 def check_sequential_entropy_floor(dim, rho, a, b):
     """The second measurement's entropy is at least the sequential optimum, any state."""
-    slack = [ent.entropies_sequential(r, oa, ob).s_b - bd.lambda_s_chain([oa, ob]).common_state
-             for r, oa, ob in zip(rho, spectral_resolutions(a), spectral_resolutions(b))]
-    return {"rho": rho, "A": a, "B": b}, [(1e-9 + np.array(slack), "")]
+    def slack(at, oa, ob):
+        return (ent.entropies_sequential(rho[at], oa, ob).s_b
+                - bd.lambda_s_chain([oa, ob]).common_state,)
+
+    margins = 1e-9 + _per_instance(slack, spectral_resolutions(a), spectral_resolutions(b))[0]
+    return {"rho": rho, "A": a, "B": b}, [(margins, "")]
 
 
 @_property("second-stage-dominance", "A", "B", "C")
 def check_second_stage_dominance(dim, a, b, c):
     """Third-stage entropy bound >= second-stage bound (doubly stochastic mixing)."""
-    slack = [bd.lambda_s_chain([oa, ob, oc]).second_stage
-             - bd.lambda_s_chain([oa, ob]).common_state
-             for oa, ob, oc in zip(*map(spectral_resolutions, (a, b, c)))]
-    return {"A": a, "B": b, "C": c}, [(1e-9 + np.array(slack), "")]
+    def slack(at, oa, ob, oc):
+        return (bd.lambda_s_chain([oa, ob, oc]).second_stage
+                - bd.lambda_s_chain([oa, ob]).common_state,)
+
+    margins = 1e-9 + _per_instance(slack, *map(spectral_resolutions, (a, b, c)))[0]
+    return {"A": a, "B": b, "C": c}, [(margins, "")]
 
 
 @_property("transition-doubly-stochastic", "B", "C")
 def check_transition_doubly_stochastic(dim, b, c):
     """Squared-overlap matrices have unit row and column sums."""
-    u = np.stack([bd.squared_overlaps(ob, oc)
-                  for ob, oc in zip(spectral_resolutions(b), spectral_resolutions(c))])
+    u, = _per_instance(lambda at, ob, oc: (bd.squared_overlaps(ob, oc),),
+                       spectral_resolutions(b), spectral_resolutions(c))
     return {"U": u}, [(1e-9 - np.abs(u.sum(axis=1) - 1).max(axis=-1), "columns"),
                       (1e-9 - np.abs(u.sum(axis=2) - 1).max(axis=-1), "rows")]
 
@@ -343,12 +415,14 @@ def check_transition_doubly_stochastic(dim, b, c):
 @_property("variance-relations", "rho", "A", "B")
 def check_variance_relations(dim, rho, a, b):
     """Commutator and sequential-covariance variance bounds; compressed observable commutes."""
-    reports = [ent.variance_relations(r, oa, ob)
-               for r, oa, ob in zip(rho, spectral_resolutions(a), spectral_resolutions(b))]
-    c_of_b = np.stack([rep.c_of_b for rep in reports])
-    slack = 1e-9 + np.array([(rep.var_a * rep.var_b - rep.robertson_rhs,
-                              rep.var_a_seq * rep.var_b_seq - rep.successive_rhs)
-                             for rep in reports])
+    def relations(at, oa, ob):
+        rep = ent.variance_relations(rho[at], oa, ob)
+        return (np.column_stack([rep.var_a * rep.var_b - rep.robertson_rhs,
+                                 rep.var_a_seq * rep.var_b_seq - rep.successive_rhs]),
+                rep.c_of_b)
+
+    slack, c_of_b = _per_instance(relations, spectral_resolutions(a), spectral_resolutions(b))
+    slack = 1e-9 + slack
     return {"rho": rho, "A": a, "B": b}, [
         (slack[:, 0], "commutator bound"),
         (slack[:, 1], "sequential bound"),

@@ -213,6 +213,23 @@ class TestRandomGenerators:
             rho = random_state(4, seed=seed)
             check_density(rho)
 
+    def test_checked_density_is_accepted_by_the_joint_table(self, sigma_z, sigma_x):
+        """A state within check_density's tolerances comes back exact enough for the table.
+
+        diag(1 + 5e-11, -5e-11) has an eigenvalue above -1e-10, so it passes;
+        taken as given, its table would hold -2.5e-11, below the -1e-12 clip.
+        """
+        given = np.diag([1 + 5e-11, -5e-11]).astype(complex)
+        with pytest.raises(ValueError, match="below clip tolerance"):
+            wigner_joint(given, sigma_z, sigma_x)
+        rho = check_density(given)
+        assert np.linalg.eigvalsh(rho).min() >= 0.0
+        assert abs(np.trace(rho) - 1) <= 1e-15
+        assert np.abs(rho - given).max() <= 1e-10
+        table = wigner_joint(rho, sigma_z, sigma_x).table
+        assert table.min() >= 0.0 and abs(table.sum() - 1.0) <= 1e-15
+        assert sample_sequence(rho, [sigma_z, sigma_x], 1000, seed=0).sum() == 1000
+
     def test_random_observable_is_hermitian(self):
         obs = random_observable(3, seed=8)
         assert np.allclose(obs.matrix, obs.matrix.conj().T)

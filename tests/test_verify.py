@@ -14,10 +14,14 @@ import pathlib
 import numpy as np
 import pytest
 
+from sequr import bounds as bd
+from sequr import entropy as ent
 from sequr import verify
 from sequr.cli import main
-from sequr.linalg import eigh, operator_norm, spectral_resolution, spectral_resolutions
-from sequr.states import interference_gap, luders_map, random_hermitian
+from sequr.linalg import (eigh, operator_norm, spectral_resolution, spectral_resolutions,
+                          stack_observables)
+from sequr.states import (interference_gap, luders_map, outcome_probabilities, pure_density,
+                          random_hermitian, random_state_vector, wigner_joint)
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -104,6 +108,108 @@ def test_stacked_entry_points_validate_once():
         spectral_resolutions(stack[0])
     with pytest.raises(ValueError, match="dimension"):
         spectral_resolutions(np.stack([np.eye(17, dtype=complex)] * 2))
+
+
+def _kernel_groups():
+    """Groups of four instances whose observables share eigenspace sizes."""
+    rng = np.random.default_rng(17)
+    groups = {}
+    for dim in (2, 3, 5):
+        generic = [1] * dim
+        groups[f"dim{dim}-generic"] = (dim, generic, generic, generic)
+        pair = [2] + [1] * (dim - 2)
+        groups[f"dim{dim}-degenerate-last"] = (dim, generic, generic, pair)
+        groups[f"dim{dim}-degenerate-middle"] = (dim, generic, pair, generic)
+        if dim > 2:
+            groups[f"dim{dim}-degenerate-first"] = (dim, [1] * (dim - 2) + [2], generic, generic)
+
+    def with_sizes(sizes):
+        # ascending cluster centres, so every matrix has the eigenspace sizes in this order
+        q, _ = np.linalg.qr(random_hermitian(sum(sizes), rng))
+        centres = np.repeat(np.cumsum(0.5 + rng.random(len(sizes))), sizes)
+        return q @ np.diag(centres) @ q.conj().T
+
+    return {name: (dim, [np.stack([with_sizes(m) for _ in range(4)]) for m in spectra],
+                   np.stack([verify._random_density(dim, rng) for _ in range(4)]))
+            for name, (dim, *spectra) in groups.items()}
+
+
+KERNEL_GROUPS = _kernel_groups()
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=float if np.isrealobj(value) else complex).tobytes()
+
+
+def _kernel_calls(a, b, c) -> dict:
+    """Every call ``verify`` makes on a group, as ``call(rho, a, b, c)``: the same
+    call takes one instance or a stack."""
+    calls = {
+        "wigner_joint": lambda r, x, y, z: wigner_joint(r, x, y, z).table,
+        "entropy_distinct": lambda r, x, y, z: ent.entropy_distinct(r, y),
+        "outcome_probabilities": lambda r, x, y, z: outcome_probabilities(r, z),
+        "luders_map": lambda r, x, y, z: luders_map(r, y),
+        "interference_gap": lambda r, x, y, z: interference_gap(r, x, z),
+        "overlap_table": lambda r, x, y, z: bd._overlap_table(y, z),
+        "krishna_parthasarathy": lambda r, x, y, z: bd.krishna_parthasarathy_bound(x, y),
+        "partovi": lambda r, x, y, z: bd.partovi_bound(x, y),
+    }
+    for field in ("s_a", "s_b", "s_joint"):
+        calls[f"pair {field}"] = lambda r, x, y, z, f=field: getattr(
+            ent.entropies_sequential(r, x, y), f)
+    for field in ("s_a", "s_b", "s_c", "s_joint"):
+        calls[f"triple {field}"] = lambda r, x, y, z, f=field: getattr(
+            ent.entropies_sequential_3(r, x, y, z), f)
+    for field in ("var_a", "var_b", "robertson_rhs", "var_a_seq", "var_b_seq",
+                  "successive_rhs", "c_of_b"):
+        calls[field] = lambda r, x, y, z, f=field: getattr(ent.variance_relations(r, x, z), f)
+    for field in ("stagewise", "common_state", "second_stage"):
+        calls[f"pair {field}"] = lambda r, x, y, z, f=field: getattr(bd.lambda_s_chain([x, y]), f)
+        if a.is_nondegenerate:
+            calls[f"triple {field}"] = lambda r, x, y, z, f=field: getattr(
+                bd.lambda_s_chain([x, y, z]), f)
+    if a.is_nondegenerate and b.is_nondegenerate:
+        calls["maassen_uffink"] = lambda r, x, y, z: bd.maassen_uffink_bound(x, y)
+        calls["deutsch"] = lambda r, x, y, z: bd.deutsch_bound(x, y)
+        calls["squared_overlaps"] = lambda r, x, y, z: bd.squared_overlaps(x, y)
+    return calls
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_GROUPS))
+def test_stacked_kernels_are_bitwise_per_instance(case):
+    """Every function ``verify`` calls on a stack gives each instance its own bits."""
+    dim, matrices, rho = KERNEL_GROUPS[case]
+    singles = [spectral_resolutions(m) for m in matrices]
+    stacked = [stack_observables(obs) for obs in singles]
+    for name, call in _kernel_calls(*stacked).items():
+        values = call(rho, *stacked)
+        assert len(values) == len(rho), name
+        for value, instance in zip(values, zip(rho, *singles)):
+            assert _bits(value) == _bits(call(*instance)), name
+
+
+@pytest.mark.parametrize("names", [("rho", "A", "B"), ("rho", "A", "B", "C"), ("H",), ("B", "C")],
+                         ids=" ".join)
+def test_draw_is_bitwise_the_generators(names):
+    """One ``standard_normal`` call per instance gives the arrays of the generators
+    called in turn, and leaves the generator where they leave it."""
+    for dim in (2, 3, 5, 16):
+        drawn_rng, reference_rng = np.random.default_rng(dim), np.random.default_rng(dim)
+        for _ in range(20):
+            expected = []
+            for name in names:
+                if name == "rho":
+                    weights = reference_rng.dirichlet(np.ones(int(reference_rng.integers(1, 4))))
+                    rho = np.zeros((dim, dim), dtype=complex)
+                    for w in weights:
+                        rho += w * pure_density(random_state_vector(dim, reference_rng))
+                    expected.append(rho)
+                else:
+                    expected.append(random_hermitian(dim, reference_rng))
+            drawn = verify._draw(names, dim, drawn_rng)
+            assert len(drawn) == len(names)
+            assert all(_same_bits(x, y) for x, y in zip(drawn, expected))
+        assert drawn_rng.random() == reference_rng.random()
 
 
 def _stub_property(margins_by_dim, labels=("first", "second")):
@@ -193,6 +299,27 @@ def _one_at_a_time_margins(name, rho, a, b) -> list:
             margins += [1e-10 - operator_norm(p @ q) for q in obs.projectors[k + 1:]]
         return margins
     oa, ob = spectral_resolution(a), spectral_resolution(b)
+    if name == "joint-entropy-floor":
+        return [1e-9 + (ent.entropies_sequential(rho, oa, ob).s_joint
+                        - bd.krishna_parthasarathy_bound(oa, ob))]
+    if name == "bound-ordering":
+        ls = bd.lambda_s_chain([oa, ob]).common_state
+        kp = bd.krishna_parthasarathy_bound(oa, ob)
+        margins = [1e-9 + (ls - kp), 1e-9 + (kp - bd.partovi_bound(oa, ob))]
+        if oa.is_nondegenerate and ob.is_nondegenerate:
+            mu = bd.maassen_uffink_bound(oa, ob)
+            margins += [1e-9 + (ls - mu), 1e-9 + (mu - bd.deutsch_bound(oa, ob))]
+        return margins
+    if name == "sequential-entropy-identities":
+        rep, collapsed = ent.entropies_sequential(rho, oa, ob), luders_map(rho, oa)
+        return [1e-12 - abs(rep.s_a - ent.entropy_distinct(rho, oa)),
+                1e-12 - abs(rep.s_a - ent.entropy_distinct(collapsed, oa)),
+                1e-12 - abs(rep.s_b - ent.entropy_distinct(collapsed, ob))]
+    if name == "variance-relations":
+        rep = ent.variance_relations(rho, oa, ob)
+        return [1e-9 + (rep.var_a * rep.var_b - rep.robertson_rhs),
+                1e-9 + (rep.var_a_seq * rep.var_b_seq - rep.successive_rhs),
+                1e-10 - operator_norm(a @ rep.c_of_b - rep.c_of_b @ a)]
     if name == "projector-norm-identity":
         margins = []
         for p in oa.projectors:
@@ -209,9 +336,16 @@ def _one_at_a_time_margins(name, rho, a, b) -> list:
 
 @pytest.mark.parametrize("prop", [verify.check_spectral_resolution,
                                   verify.check_projector_norm_identity,
-                                  verify.check_luders_fixed_points], ids=lambda p: p.__name__)
+                                  verify.check_luders_fixed_points,
+                                  verify.check_joint_entropy_floor,
+                                  verify.check_bound_ordering,
+                                  verify.check_sequential_entropy_identities,
+                                  verify.check_variance_relations], ids=lambda p: p.__name__)
 def test_degenerate_instances_keep_their_margins(prop, monkeypatch):
-    """Observables with fewer outcomes than their dimension get masked padding."""
+    """Observables with fewer outcomes than their dimension get masked padding, and
+    instances whose eigenspace sizes differ are checked in separate stacks, with
+    the margins of one instance at a time (Maassen-Uffink and Deutsch only on
+    nondegenerate pairs)."""
     rng = np.random.default_rng(12)
     cases = {dim: [_with_spectrum(m, spread, rng) for m, spread in (
         ([1] * dim, 0.0), ([2] + [1] * (dim - 2), 0.0), ([dim - 1, 1], 1e-12), ([dim], 0.0),
@@ -255,6 +389,21 @@ def test_margins_match_per_instance_runner(args, capsys):
     assert main(["verify", *args, "--format", "csv"]) == 0
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
     assert [margin for *_, margin in rows] == PER_INSTANCE_MARGINS[args].split()
+
+
+#: Runs recorded from the runner that called the library once per instance.
+RECORDED_RUNS = {
+    "verify-dims6-8.csv": ["--dims", "6-8", "--format", "csv"],
+    # two chunk boundaries, and groups of uneven size at every dimension
+    "verify-129-dims2-16.json": ["--instances", "129", "--dims", "2-16", "--seed", "7",
+                                 "--format", "json"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_RUNS))
+def test_recorded_run_matches_golden(name, capsys):
+    assert main(["verify", *RECORDED_RUNS[name]]) == 0
+    assert capsys.readouterr().out == (GOLDEN_DIR / name).read_text(encoding="utf-8")
 
 
 def test_default_run_matches_golden(capsys):
