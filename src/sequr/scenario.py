@@ -12,13 +12,15 @@ A scenario is a single self-describing JSON object::
       "labels": {"comment": "anything"}
     }
 
-Every complex number is a two-element ``[re, im]`` array. ``state`` is
-optional and is either an amplitude vector (a list of pairs) or a density
-matrix (a list of rows of pairs); when omitted, consumers fall back to the
-maximally mixed state. Matrices must be Hermitian within 1e-8. A density
-matrix is accepted with its trace within 1e-8 of 1 and no eigenvalue below
--1e-8, and is then made exact, as a vector is normalized: its Hermitian part
-is rebuilt from its eigenvalues clipped at 0 and divided by their sum.
+``dim`` is an integer in ``MIN_DIM..MAX_DIM`` (2..16), checked before any
+matrix is read. Every complex number is a two-element ``[re, im]`` array.
+``state`` is optional and is either an amplitude vector (a list of pairs) or
+a density matrix (a list of rows of pairs); when omitted, consumers fall
+back to the maximally mixed state. Matrices must be Hermitian within 1e-8.
+A density matrix is accepted with its trace within 1e-8 of 1 and no
+eigenvalue below -1e-8, and is then made exact, as a vector is normalized:
+its Hermitian part is rebuilt from its eigenvalues clipped at 0 and divided
+by their sum.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, ScenarioError
-from .linalg import Observable, spectral_resolution
+from .linalg import MAX_DIM, MIN_DIM, Observable, spectral_resolution
 from .states import check_density, pure_density
 
 
@@ -100,6 +102,8 @@ def parse_scenario(text: str) -> Scenario:
     dim = doc.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool):
         raise ScenarioError("'dim' must be an integer")
+    if not MIN_DIM <= dim <= MAX_DIM:
+        raise ScenarioError(f"'dim' {dim} outside supported range {MIN_DIM}..{MAX_DIM}")
 
     obs_doc = doc.get("observables")
     if not isinstance(obs_doc, dict) or not obs_doc:

@@ -7,14 +7,15 @@ fully deterministic for a fixed seed, so reruns are byte-identical.
 
 A property runs as array code: it draws up to ``STACK_INSTANCES`` instances at
 a time, in the order a one-at-a-time loop would draw them, then stacks the
-instances of each dimension and checks them together (one
-``spectral_resolutions`` call per stack, stacked norms and products). The
-instances of a stack whose observables share eigenspace sizes form a group
-(``_groups``), and the functions under test that take ``Observable``s (the
-bounds, the entropies, ``wigner_joint``, ``luders_map`` ...) are called once
-per group, through their modules, on observables stacked by
-``stack_observables``. They are the functions the CLI calls on one instance;
-a group gives each instance the bits it gets alone.
+instances of each dimension. The runner (``_property``) is the one place that
+resolves and groups: one ``spectral_resolutions`` call per stack and drawn
+observable, then one group per set of eigenspace sizes (``edges``) of the
+instance's observables. Each property body checks one group: the functions
+under test that take ``Observable``s (the bounds, the entropies,
+``wigner_joint``, ``luders_map`` ...) are called once per group, through
+their modules, on observables stacked by ``stack_observables``. They are the
+functions the CLI calls on one instance; a group gives each instance the bits
+it gets alone.
 """
 
 from __future__ import annotations
@@ -128,12 +129,16 @@ def _worst_per_group(indices, dim, arrays, checks):
 
 
 def _property(name: str, *draws: str):
-    """Turn a stacked body into a seeded property ``(seed, instances, dims) -> result``.
+    """Turn a group body into a seeded property ``(seed, instances, dims) -> result``.
 
     Instance ``i`` has dimension ``dims[i % len(dims)]`` and its raw arrays are
-    drawn by ``_draw(draws, dim, rng)``, instance after instance. ``body(dim,
-    *stacks)`` gets one ``(n, dim, dim)`` stack per name in ``draws``, holding
-    the instances of one dimension, and returns ``(arrays, checks)``: the
+    drawn by ``_draw(draws, dim, rng)``, instance after instance. The runner
+    stacks the instances of one dimension, resolves each drawn name other than
+    ``rho`` with one ``spectral_resolutions`` call, and groups the instances
+    whose observables all share ``edges``. ``body(*group)`` is called once per
+    group, in the order of the group's first instance: it gets the group's
+    ``(n, dim, dim)`` stack of ``rho`` and one ``stack_observables`` per other
+    name, in the order of ``draws``, and returns ``(arrays, checks)``: the
     named stacks that describe the instances and its ``(margins, label)``
     pairs in check order, one margin per instance (``inf`` where an instance
     has no such check). The worst margin is the first smallest one by
@@ -150,10 +155,20 @@ def _property(name: str, *draws: str):
                     worst = []
                     for dim in dict.fromkeys(int(d) for d in dims):
                         indices = [i for i in chunk if int(dims[i % len(dims)]) == dim]
-                        if indices:
-                            stacks = (np.stack(group) for group in
-                                      zip(*(drawn[i - first] for i in indices)))
-                            worst.append(_worst_per_group(indices, dim, *body(dim, *stacks)))
+                        if not indices:
+                            continue
+                        stacks = map(np.stack, zip(*(drawn[i - first] for i in indices)))
+                        columns = {draw: stack if draw == "rho" else spectral_resolutions(stack)
+                                   for draw, stack in zip(draws, stacks)}
+                        edges = [tuple(c[k].edges for draw, c in columns.items() if draw != "rho")
+                                 for k in range(len(indices))]
+                        for key in dict.fromkeys(edges):
+                            at = [k for k, e in enumerate(edges) if e == key]
+                            group = [c[at] if draw == "rho"
+                                     else stack_observables([c[k] for k in at])
+                                     for draw, c in columns.items()]
+                            worst.append(_worst_per_group([indices[k] for k in at], dim,
+                                                          *body(*group)))
                     yield from sorted(worst, key=lambda pair: pair[1][1])
 
             return _result(name, instances, margins(), _counterexample)
@@ -170,263 +185,171 @@ def _random_density(dim, rng):
     return _draw(("rho",), dim, rng)[0]
 
 
-def _groups(*observables):
-    """The instances whose observables share eigenspace sizes, one group at a time.
-
-    ``observables`` holds one list per drawn name, an Observable per instance.
-    Yields ``(at, stacked)``: the group's instance indices, ascending, and one
-    ``stack_observables`` of each list over them. Groups come in the order of
-    their first instance.
-    """
-    keys = [tuple(obs.edges for obs in row) for row in zip(*observables)]
-    for key in dict.fromkeys(keys):
-        at = np.array([i for i, k in enumerate(keys) if k == key])
-        yield at, [stack_observables([column[i] for i in at]) for column in observables]
-
-
-def _per_instance(body, *observables) -> list:
-    """Call ``body(at, *stacked)`` once per group of ``_groups`` and put the rows of
-    each array it returns back in instance order."""
-    outs = None
-    for at, stacked in _groups(*observables):
-        arrays = body(at, *stacked)
-        if outs is None:
-            outs = [np.empty((len(observables[0]), *a.shape[1:]), dtype=a.dtype) for a in arrays]
-        for out, rows in zip(outs, arrays):
-            out[at] = rows
-    return outs
-
-
-def _resolved(observables, dim):
-    """Eigenvalues ``(n, dim)`` and projectors ``(n, dim, dim, dim)`` of each
-    observable, zero past its outcomes, and the ``(n, dim)`` mask of the
-    outcomes present."""
-    def padded(at, obs):
-        k = obs.n_outcomes
-        values = np.zeros((len(at), dim))
-        projectors = np.zeros((len(at), dim, dim, dim), dtype=complex)
-        present = np.zeros((len(at), dim), dtype=bool)
-        values[:, :k], projectors[:, :k], present[:, :k] = obs.eigenvalues, obs.projectors, True
-        return values, projectors, present
-
-    return _per_instance(padded, observables)
-
-
-def _masked(margins, present):
-    return np.where(present, margins, math.inf)
-
-
 @_property("spectral-resolution", "H")
-def check_spectral_resolution(dim, h):
+def check_spectral_resolution(h):
     """Reconstruction, projector orthogonality/idempotence, completeness, unit norms."""
-    values, p, present = _resolved(spectral_resolutions(h), dim)
-    scale = np.maximum(operator_norm(h), 1e-300)
-    rebuilt = sum(values[:, k, None, None] * p[:, k] for k in range(dim))
-    checks = [(1e-9 - operator_norm(rebuilt - h) / scale, "reconstruction"),
-              (1e-10 - operator_norm(sum(p[:, k] for k in range(dim)) - np.eye(dim)),
+    p, n = h.projectors, h.n_outcomes
+    scale = np.maximum(operator_norm(h.matrix), 1e-300)
+    rebuilt = sum(h.eigenvalues[:, k, None, None] * p[:, k] for k in range(n))
+    checks = [(1e-9 - operator_norm(rebuilt - h.matrix) / scale, "reconstruction"),
+              (1e-10 - operator_norm(sum(p[:, k] for k in range(n)) - np.eye(h.dim)),
                "completeness")]
-    for k in range(dim):
+    for k in range(n):
         pk = p[:, k]
-        checks.append((_masked(1e-10 - operator_norm(pk @ pk - pk), present[:, k]),
-                       "idempotence"))
-        checks.append((_masked(1e-9 - abs(operator_norm(pk) - 1.0), present[:, k]),
-                       "unit norm"))
+        checks.append((1e-10 - operator_norm(pk @ pk - pk), "idempotence"))
+        checks.append((1e-9 - abs(operator_norm(pk) - 1.0), "unit norm"))
         cross = 1e-10 - operator_norm(pk[:, None] @ p[:, k + 1:])
-        checks += [(_masked(cross[:, j], present[:, k] & present[:, k + 1 + j]),
-                    "orthogonality") for j in range(dim - k - 1)]
-    return {"H": h}, checks
+        checks += [(cross[:, j], "orthogonality") for j in range(n - k - 1)]
+    return {"H": h.matrix}, checks
 
 
 @_property("eigh-unitary-invariance", "H", "G")
-def check_eigh_unitary_invariance(dim, h, g):
+def check_eigh_unitary_invariance(h, g):
     """Eigenvalues are invariant under conjugation with a random unitary."""
-    _, u = eigh(g)
-    before, _ = eigh(h)
-    after, _ = eigh(u @ h @ u.conj().swapaxes(-2, -1))
-    return {"H": h, "U": u}, [(1e-9 - np.abs(before - after).max(axis=-1), "")]
+    _, u = eigh(g.matrix)
+    before, _ = eigh(h.matrix)
+    after, _ = eigh(u @ h.matrix @ u.conj().swapaxes(-2, -1))
+    return {"H": h.matrix, "U": u}, [(1e-9 - np.abs(before - after).max(axis=-1), "")]
 
 
 @_property("wigner-marginals", "rho", "A", "B")
-def check_wigner_marginals(dim, rho, a, b):
+def check_wigner_marginals(rho, a, b):
     """Joint-table marginals equal the direct and collapsed outcome distributions."""
-    def errors(at, oa, ob):
-        r = rho[at]
-        pa, pb = wigner_joint(r, oa, ob).marginals()
-        collapsed = luders_map(r, oa)
-        return (np.column_stack([np.abs(pa - outcome_probabilities(r, oa)).max(axis=-1),
-                                 np.abs(pb - outcome_probabilities(collapsed, ob)).max(axis=-1)]),)
-
-    margins = 1e-12 - _per_instance(errors, spectral_resolutions(a), spectral_resolutions(b))[0]
-    return {"rho": rho, "A": a, "B": b}, list(zip(margins.T, ("first marginal",
-                                                              "second marginal")))
+    pa, pb = wigner_joint(rho, a, b).marginals()
+    collapsed = luders_map(rho, a)
+    return {"rho": rho, "A": a.matrix, "B": b.matrix}, [
+        (1e-12 - np.abs(pa - outcome_probabilities(rho, a)).max(axis=-1), "first marginal"),
+        (1e-12 - np.abs(pb - outcome_probabilities(collapsed, b)).max(axis=-1),
+         "second marginal")]
 
 
 @_property("luders-fixed-points", "rho", "A", "B")
-def check_luders_fixed_points(dim, rho, a, b):
+def check_luders_fixed_points(rho, a, b):
     """Collapse commutes with the projectors, is idempotent, and fixes commuting states."""
-    def collapsed(at, oa, ob):
-        once = luders_map(rho[at], oa)
-        # A state already diagonal in the first observable's eigenspaces is
-        # untouched, so the later measurement sees no interference shift.
-        return once, luders_map(once, oa), interference_gap(once, oa, ob)
-
-    obs_a = spectral_resolutions(a)
-    once, twice, gaps = _per_instance(collapsed, obs_a, spectral_resolutions(b))
-    _, p, present = _resolved(obs_a, dim)
-    commutators = once[:, None] @ p - p @ once[:, None]
-    checks = [(_masked(1e-10 - operator_norm(commutators[:, k]), present[:, k]), "commutation")
-              for k in range(dim)]
-    checks.append((1e-12 - operator_norm(twice - once), "idempotence"))
-    checks.append((1e-10 - gaps, "interference"))
-    return {"rho": rho, "A": a}, checks
+    once = luders_map(rho, a)
+    commutators = once[:, None] @ a.projectors - a.projectors @ once[:, None]
+    checks = [(1e-10 - operator_norm(commutators[:, k]), "commutation")
+              for k in range(a.n_outcomes)]
+    checks.append((1e-12 - operator_norm(luders_map(once, a) - once), "idempotence"))
+    # A state already diagonal in the first observable's eigenspaces is
+    # untouched, so the later measurement sees no interference shift.
+    checks.append((1e-10 - interference_gap(once, a, b), "interference"))
+    return {"rho": rho, "A": a.matrix}, checks
 
 
 @_property("sequential-entropy-identities", "rho", "A", "B")
-def check_sequential_entropy_identities(dim, rho, a, b):
+def check_sequential_entropy_identities(rho, a, b):
     """Sequential marginal entropies equal their distinct-measurement counterparts."""
-    def errors(at, oa, ob):
-        r = rho[at]
-        rep = ent.entropies_sequential(r, oa, ob)
-        collapsed = luders_map(r, oa)
-        return (np.abs(np.column_stack([rep.s_a - ent.entropy_distinct(r, oa),
-                                        rep.s_a - ent.entropy_distinct(collapsed, oa),
-                                        rep.s_b - ent.entropy_distinct(collapsed, ob)])),)
-
-    margins = 1e-12 - _per_instance(errors, spectral_resolutions(a), spectral_resolutions(b))[0]
-    return {"rho": rho, "A": a, "B": b}, list(zip(margins.T, ("S_A direct", "S_A collapsed",
-                                                              "S_B collapsed")))
+    rep = ent.entropies_sequential(rho, a, b)
+    collapsed = luders_map(rho, a)
+    return {"rho": rho, "A": a.matrix, "B": b.matrix}, [
+        (1e-12 - np.abs(rep.s_a - ent.entropy_distinct(rho, a)), "S_A direct"),
+        (1e-12 - np.abs(rep.s_a - ent.entropy_distinct(collapsed, a)), "S_A collapsed"),
+        (1e-12 - np.abs(rep.s_b - ent.entropy_distinct(collapsed, b)), "S_B collapsed")]
 
 
 @_property("joint-subadditivity", "rho", "A", "B", "C")
-def check_joint_subadditivity(dim, rho, a, b, c):
+def check_joint_subadditivity(rho, a, b, c):
     """Marginal entropy sums dominate the joint entropy, which dominates each marginal."""
-    def rows(at, oa, ob, oc):
-        two = ent.entropies_sequential(rho[at], oa, ob)
-        three = ent.entropies_sequential_3(rho[at], oa, ob, oc)
-        return (np.column_stack([two.s_a + two.s_b - two.s_joint, two.s_joint - two.s_a,
-                                 two.s_joint - two.s_b,
-                                 three.s_a + three.s_b + three.s_c - three.s_joint]),)
-
-    slack = 1e-9 + _per_instance(rows, *map(spectral_resolutions, (a, b, c)))[0]
-    return {"rho": rho, "A": a, "B": b}, list(zip(slack.T, (
-        "subadditivity", "joint >= S_A", "joint >= S_B", "three-step subadditivity")))
+    two = ent.entropies_sequential(rho, a, b)
+    three = ent.entropies_sequential_3(rho, a, b, c)
+    return {"rho": rho, "A": a.matrix, "B": b.matrix}, [
+        (1e-9 + (two.s_a + two.s_b - two.s_joint), "subadditivity"),
+        (1e-9 + (two.s_joint - two.s_a), "joint >= S_A"),
+        (1e-9 + (two.s_joint - two.s_b), "joint >= S_B"),
+        (1e-9 + (three.s_a + three.s_b + three.s_c - three.s_joint),
+         "three-step subadditivity")]
 
 
 @_property("strong-subadditivity", "rho", "A", "B", "C")
-def check_strong_subadditivity(dim, rho, a, b, c):
+def check_strong_subadditivity(rho, a, b, c):
     """S(A,B) + S(B,C) >= S(A,B,C) + S(B) for the three-step joint distribution."""
-    def slack(at, oa, ob, oc):
-        joint = wigner_joint(rho[at], oa, ob, oc)
-        table = joint.table  # (instances, A, B, C)
+    joint = wigner_joint(rho, a, b, c)
+    table = joint.table  # (instances, A, B, C)
 
-        def entropy(p):
-            return ent._distribution_entropy(p.reshape(len(at), -1))
+    def entropy(p):
+        return ent._distribution_entropy(p.reshape(len(rho), -1))
 
-        return (entropy(table.sum(axis=3)) + entropy(table.sum(axis=1)) - entropy(table)
-                - entropy(joint.marginal(1)),)
-
-    margins = 1e-9 + _per_instance(slack, *map(spectral_resolutions, (a, b, c)))[0]
-    return {"rho": rho, "A": a, "B": b, "C": c}, [(margins, "")]
+    slack = (entropy(table.sum(axis=3)) + entropy(table.sum(axis=1)) - entropy(table)
+             - entropy(joint.marginal(1)))
+    return {"rho": rho, "A": a.matrix, "B": b.matrix, "C": c.matrix}, [(1e-9 + slack, "")]
 
 
 @_property("joint-entropy-floor", "rho", "A", "B")
-def check_joint_entropy_floor(dim, rho, a, b):
+def check_joint_entropy_floor(rho, a, b):
     """The joint entropy never drops below the projector-overlap bound."""
-    def slack(at, oa, ob):
-        return (ent.entropies_sequential(rho[at], oa, ob).s_joint
-                - bd.krishna_parthasarathy_bound(oa, ob),)
-
-    margins = 1e-9 + _per_instance(slack, spectral_resolutions(a), spectral_resolutions(b))[0]
-    return {"rho": rho, "A": a, "B": b}, [(margins, "")]
+    slack = ent.entropies_sequential(rho, a, b).s_joint - bd.krishna_parthasarathy_bound(a, b)
+    return {"rho": rho, "A": a.matrix, "B": b.matrix}, [(1e-9 + slack, "")]
 
 
 @_property("bound-ordering", "A", "B")
-def check_bound_ordering(dim, a, b):
+def check_bound_ordering(a, b):
     """Sequential optimum >= Krishna-Parthasarathy/Maassen-Uffink >= Partovi/Deutsch.
 
     Maassen-Uffink and Deutsch need nondegenerate spectra; a degenerate pair
     has no such checks.
     """
-    def rows(at, oa, ob):
-        ls = bd.lambda_s_chain([oa, ob]).common_state
-        kp = bd.krishna_parthasarathy_bound(oa, ob)
-        ls_kp, kp_partovi = ls - kp, kp - bd.partovi_bound(oa, ob)
-        if not (oa.is_nondegenerate and ob.is_nondegenerate):
-            return (np.column_stack([ls_kp, np.full(len(at), math.inf), kp_partovi,
-                                     np.full(len(at), math.inf)]),)
-        mu = bd.maassen_uffink_bound(oa, ob)
-        return (np.column_stack([ls_kp, ls - mu, kp_partovi, mu - bd.deutsch_bound(oa, ob)]),)
-
-    slack = 1e-9 + _per_instance(rows, spectral_resolutions(a), spectral_resolutions(b))[0]
-    return {"A": a, "B": b}, list(zip(slack.T, (
-        "sequential >= KP", "sequential >= MU", "KP >= Partovi", "MU >= Deutsch")))
+    ls = bd.lambda_s_chain([a, b]).common_state
+    kp = bd.krishna_parthasarathy_bound(a, b)
+    if a.is_nondegenerate and b.is_nondegenerate:
+        mu = bd.maassen_uffink_bound(a, b)
+        ls_mu, mu_deutsch = ls - mu, mu - bd.deutsch_bound(a, b)
+    else:
+        ls_mu = mu_deutsch = np.full(len(ls), math.inf)
+    return {"A": a.matrix, "B": b.matrix}, [
+        (1e-9 + (ls - kp), "sequential >= KP"), (1e-9 + ls_mu, "sequential >= MU"),
+        (1e-9 + (kp - bd.partovi_bound(a, b)), "KP >= Partovi"),
+        (1e-9 + mu_deutsch, "MU >= Deutsch")]
 
 
 @_property("projector-norm-identity", "A", "B")
-def check_projector_norm_identity(dim, a, b):
+def check_projector_norm_identity(a, b):
     """||PQ||^2 = ||PQP|| and 4 ||PQ||^2 <= ||P + Q||^2 for eigenprojector pairs."""
-    _, p, p_present = _resolved(spectral_resolutions(a), dim)
-    _, q, q_present = _resolved(spectral_resolutions(b), dim)
+    q = b.projectors
     checks = []
-    for k in range(dim):
-        pk = p[:, k, None]
+    for k in range(a.n_outcomes):
+        pk = a.projectors[:, k, None]
         pq = pk @ q
         cross = operator_norm(pq) ** 2
         identity = 1e-10 - abs(cross - operator_norm(pq @ pk))
         inequality = 1e-10 + (0.25 * operator_norm(pk + q) ** 2 - cross)
-        present = p_present[:, k, None] & q_present
-        for j in range(dim):
-            checks.append((_masked(identity[:, j], present[:, j]), "norm identity"))
-            checks.append((_masked(inequality[:, j], present[:, j]), "norm inequality"))
-    return {"A": a, "B": b}, checks
+        for j in range(b.n_outcomes):
+            checks.append((identity[:, j], "norm identity"))
+            checks.append((inequality[:, j], "norm inequality"))
+    return {"A": a.matrix, "B": b.matrix}, checks
 
 
 @_property("sequential-entropy-floor", "rho", "A", "B")
-def check_sequential_entropy_floor(dim, rho, a, b):
+def check_sequential_entropy_floor(rho, a, b):
     """The second measurement's entropy is at least the sequential optimum, any state."""
-    def slack(at, oa, ob):
-        return (ent.entropies_sequential(rho[at], oa, ob).s_b
-                - bd.lambda_s_chain([oa, ob]).common_state,)
-
-    margins = 1e-9 + _per_instance(slack, spectral_resolutions(a), spectral_resolutions(b))[0]
-    return {"rho": rho, "A": a, "B": b}, [(margins, "")]
+    slack = ent.entropies_sequential(rho, a, b).s_b - bd.lambda_s_chain([a, b]).common_state
+    return {"rho": rho, "A": a.matrix, "B": b.matrix}, [(1e-9 + slack, "")]
 
 
 @_property("second-stage-dominance", "A", "B", "C")
-def check_second_stage_dominance(dim, a, b, c):
+def check_second_stage_dominance(a, b, c):
     """Third-stage entropy bound >= second-stage bound (doubly stochastic mixing)."""
-    def slack(at, oa, ob, oc):
-        return (bd.lambda_s_chain([oa, ob, oc]).second_stage
-                - bd.lambda_s_chain([oa, ob]).common_state,)
-
-    margins = 1e-9 + _per_instance(slack, *map(spectral_resolutions, (a, b, c)))[0]
-    return {"A": a, "B": b, "C": c}, [(margins, "")]
+    slack = bd.lambda_s_chain([a, b, c]).second_stage - bd.lambda_s_chain([a, b]).common_state
+    return {"A": a.matrix, "B": b.matrix, "C": c.matrix}, [(1e-9 + slack, "")]
 
 
 @_property("transition-doubly-stochastic", "B", "C")
-def check_transition_doubly_stochastic(dim, b, c):
+def check_transition_doubly_stochastic(b, c):
     """Squared-overlap matrices have unit row and column sums."""
-    u, = _per_instance(lambda at, ob, oc: (bd.squared_overlaps(ob, oc),),
-                       spectral_resolutions(b), spectral_resolutions(c))
+    u = bd.squared_overlaps(b, c)
     return {"U": u}, [(1e-9 - np.abs(u.sum(axis=1) - 1).max(axis=-1), "columns"),
                       (1e-9 - np.abs(u.sum(axis=2) - 1).max(axis=-1), "rows")]
 
 
 @_property("variance-relations", "rho", "A", "B")
-def check_variance_relations(dim, rho, a, b):
+def check_variance_relations(rho, a, b):
     """Commutator and sequential-covariance variance bounds; compressed observable commutes."""
-    def relations(at, oa, ob):
-        rep = ent.variance_relations(rho[at], oa, ob)
-        return (np.column_stack([rep.var_a * rep.var_b - rep.robertson_rhs,
-                                 rep.var_a_seq * rep.var_b_seq - rep.successive_rhs]),
-                rep.c_of_b)
-
-    slack, c_of_b = _per_instance(relations, spectral_resolutions(a), spectral_resolutions(b))
-    slack = 1e-9 + slack
-    return {"rho": rho, "A": a, "B": b}, [
-        (slack[:, 0], "commutator bound"),
-        (slack[:, 1], "sequential bound"),
-        (1e-10 - operator_norm(a @ c_of_b - c_of_b @ a), "compressed commutation"),
+    rep = ent.variance_relations(rho, a, b)
+    return {"rho": rho, "A": a.matrix, "B": b.matrix}, [
+        (1e-9 + (rep.var_a * rep.var_b - rep.robertson_rhs), "commutator bound"),
+        (1e-9 + (rep.var_a_seq * rep.var_b_seq - rep.successive_rhs), "sequential bound"),
+        (1e-10 - operator_norm(a.matrix @ rep.c_of_b - rep.c_of_b @ a.matrix),
+         "compressed commutation"),
     ]
 
 

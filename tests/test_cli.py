@@ -16,7 +16,7 @@ from sequr.cli import MAX_STARTS, _json_text, main
 from sequr.linalg import spectral_resolution
 from sequr.optimize import OptimizerResult
 from sequr.scenario import load_scenario
-from sequr.states import random_hermitian, sample_sequence, wigner_joint
+from sequr.states import random_hermitian, random_observable, sample_sequence, wigner_joint
 
 ZX_DOC = {
     "dim": 2,
@@ -204,6 +204,15 @@ class TestBounds:
         path.write_text(json.dumps(doc))
         assert main(["bounds", str(path), "--order", "Z", "X"]) == 3
 
+    @pytest.mark.parametrize("dim", [-1, 0, 1, 17, 10**9])
+    def test_dim_out_of_range_is_bad_input(self, dim, tmp_path, capsys):
+        # refused before the 2x2 matrices are read against it
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(ZX_DOC, dim=dim)))
+        assert main(["bounds", str(path), "--order", "Z", "X"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: 'dim' {dim} outside supported range 2..16\n")
+
     def test_optimizer_failure_exit_code(self, zx_file, monkeypatch, capsys):
         from sequr import cli
         from sequr.errors import OptimizerFailure
@@ -223,12 +232,31 @@ class TestBounds:
         out = capsys.readouterr().out
         assert "check: lambda_s_numeric >= lambda_s: ok" in out
         assert "search miss: lambda_s_numeric is 0.190658 above lambda_s" in out
+        # lambda_d <= lambda_s for a pair: the lambda_d search at 2.00546 missed too
+        assert "search miss: lambda_d_numeric is 0.535882 above lambda_s" in out
         assert "VIOLATED" not in out
         assert main(argv + ["--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert all(payload["checks"].values())
         assert payload["search_misses"] == {
+            "lambda_d_numeric": {"above": "lambda_s", "gap": 0.535882},
             "lambda_s_numeric": {"above": "lambda_s", "gap": 0.190658}}
+
+    def test_lambda_d_search_above_lambda_s_is_a_miss(self, tmp_path, capsys):
+        # 16 starts at seed 30 stop at lambda_d 1.648246, above lambda_s 1.615979
+        path = tmp_path / "dim8.json"
+        path.write_text(json.dumps({"dim": 8, "observables": {
+            name: [[[z.real, z.imag] for z in row] for row in random_observable(8, seed).matrix]
+            for name, seed in (("A", 31030), ("B", 32030))}}))
+        argv = ["bounds", str(path), "--order", "A", "B", "--starts", "16", "--seed", "30"]
+        assert main(argv + ["--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert all(payload["checks"].values())
+        assert payload["search_misses"] == {
+            "lambda_d_numeric": {"above": "lambda_s", "gap": 0.0322668}}
+        assert main(argv) == 0
+        assert "search miss: lambda_d_numeric is 0.0322668 above lambda_s" in (
+            capsys.readouterr().out)
 
     @staticmethod
     def patch_search(scenario, order, offset, floor, tmp_path, monkeypatch) -> str:
@@ -287,6 +315,30 @@ class TestBounds:
         payload = json.loads(capsys.readouterr().out)
         assert all(payload["checks"].values())
         assert payload["search_misses"] == {numeric: {"above": closed, "gap": 0.01}}
+
+
+    @pytest.mark.parametrize("offset, missed", [(1e-2, True), (5e-5, False)])
+    def test_patched_lambda_d_above_lambda_s(self, offset, missed, tmp_path, monkeypatch,
+                                             capsys):
+        """A lambda_d search more than 1e-4 above lambda_s is a miss, never a violation."""
+        path = self.patch_search("zx", ["Z", "X"], 0.0, None, tmp_path, monkeypatch)
+        value = math.log(2) + offset  # lambda_s of Z then X
+
+        def search(*args, **kwargs):
+            return OptimizerResult(value=value, minimizer=np.eye(2)[0], starts_converged=1,
+                                   per_start_values=(value,), evaluations=1)
+
+        monkeypatch.setattr(cli, "lambda_d_numeric", search)
+        argv = ["bounds", path, "--order", "Z", "X", "--starts", "2"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "VIOLATED" not in out
+        assert ("search miss: lambda_d_numeric is 0.01 above lambda_s" in out) == missed
+        assert main(argv + ["--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert all(payload["checks"].values())
+        assert payload["search_misses"] == (
+            {"lambda_d_numeric": {"above": "lambda_s", "gap": 0.01}} if missed else {})
 
 
 class TestTable1:

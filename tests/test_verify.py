@@ -219,11 +219,55 @@ def _stub_property(margins_by_dim, labels=("first", "second")):
     order, one margin per label.
     """
     @verify._property("stub", "H")
-    def check_stub(dim, h):
-        margins = np.array(margins_by_dim[dim], dtype=float).reshape(len(h), len(labels))
-        return {"H": h}, [(margins[:, k], label) for k, label in enumerate(labels)]
+    def check_stub(h):
+        margins = np.array(margins_by_dim[h.dim], dtype=float).reshape(len(h.matrix), len(labels))
+        return {"H": h.matrix}, [(margins[:, k], label) for k, label in enumerate(labels)]
 
     return check_stub
+
+
+@pytest.mark.parametrize("stack", [64, 5])
+def test_runner_resolves_and_groups_each_stack(stack, monkeypatch):
+    """The runner hands each body call one group: observables sharing one ``edges``
+    each, whose ``.matrix`` rows hold the bits drawn for their instances, in order
+    of the group's first instance; the worst margin keeps its global index."""
+    sizes = {3: ([1, 1, 1], [2, 1], [1, 2]), 4: ([1, 1, 1, 1], [2, 2], [3, 1], [1, 1, 2])}
+    dims, instances, failing = (3, 4), 14, 11
+    rng = np.random.default_rng(5)
+    drawn = []
+    for i in range(instances):
+        options = sizes[dims[i % 2]]
+        drawn.append([_with_spectrum(options[(i // 2) % len(options)], 0.0, rng),
+                      _with_spectrum(options[(i // 2 + i // 4) % len(options)], 0.0, rng)])
+    index_of = {a.tobytes(): i for i, (a, _) in enumerate(drawn)}
+    edges = [tuple(spectral_resolution(m).edges for m in pair) for pair in drawn]
+    expected = []
+    for first in range(0, instances, stack):
+        for dim in dims:
+            at = [i for i in range(first, min(first + stack, instances)) if dims[i % 2] == dim]
+            expected += [[i for i in at if edges[i] == key]
+                         for key in dict.fromkeys(edges[i] for i in at)]
+    assert edges[0] == edges[12] != edges[2] == edges[10]  # dim-3 groups interleave
+    draws = iter(drawn)
+    monkeypatch.setattr(verify, "_draw", lambda names, dim, rng: next(draws))
+    monkeypatch.setattr(verify, "STACK_INSTANCES", stack)
+    calls = []
+
+    @verify._property("runner", "A", "B")
+    def check_runner(a, b):
+        at = [index_of[row.tobytes()] for row in a.matrix]
+        calls.append(at)
+        for i, row_a, row_b in zip(at, a.matrix, b.matrix):
+            assert (a.edges, b.edges) == edges[i]
+            assert _same_bits(row_a, drawn[i][0]) and _same_bits(row_b, drawn[i][1])
+        margins = np.array([-1.0 if i == failing else 0.5 for i in at])
+        return {"A": a.matrix}, [(np.full(len(at), 0.5), "first"), (margins, "second")]
+
+    result = check_runner(0, instances, dims)
+    assert calls == expected
+    assert (result.ok, result.checked, result.worst) == (False, instances, -1.0)
+    assert result.detail.splitlines()[0] == f"second instance {failing} dim {dims[failing % 2]}"
+    assert np.array2string(drawn[failing][0], precision=6) in result.detail
 
 
 def _drawn_matrices(seed, instances, dims):
@@ -342,10 +386,10 @@ def _one_at_a_time_margins(name, rho, a, b) -> list:
                                   verify.check_sequential_entropy_identities,
                                   verify.check_variance_relations], ids=lambda p: p.__name__)
 def test_degenerate_instances_keep_their_margins(prop, monkeypatch):
-    """Observables with fewer outcomes than their dimension get masked padding, and
-    instances whose eigenspace sizes differ are checked in separate stacks, with
-    the margins of one instance at a time (Maassen-Uffink and Deutsch only on
-    nondegenerate pairs)."""
+    """Observables with fewer outcomes than their dimension are checked over their
+    outcomes only, and instances whose eigenspace sizes differ are checked in
+    separate groups, with the margins of one instance at a time (Maassen-Uffink
+    and Deutsch only on nondegenerate pairs)."""
     rng = np.random.default_rng(12)
     cases = {dim: [_with_spectrum(m, spread, rng) for m, spread in (
         ([1] * dim, 0.0), ([2] + [1] * (dim - 2), 0.0), ([dim - 1, 1], 1e-12), ([dim], 0.0),
